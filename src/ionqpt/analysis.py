@@ -12,7 +12,6 @@ import numpy as np
 import scipy.constants as const
 import scipy.linalg
 import scipy.optimize
-import scipy.signal
 
 from .ionsim import ramsey_contrast_model
 from .process import ProcessMatrix, apply_process, process_fidelity, unitary_to_chi
@@ -360,6 +359,10 @@ def fit_heating(times_us, signals, eta: float = 0.039,
     broken by lowest start index.  Returns the occupation and the 3x3
     parameter covariance estimated from the Jacobian at the optimum.
     """
+    # scipy.signal takes about half of the package's import time and only
+    # this function uses it, so it is imported here rather than at the top.
+    import scipy.signal
+
     times_us = np.asarray(times_us, dtype=float)
     signals = np.asarray(signals, dtype=float)
     if len(times_us) < 8:

@@ -190,6 +190,7 @@ def cmd_report(args) -> int:
     chi_ideal = _ideal_chi_from_args(args)
     rep = process_fidelity(chi, chi_ideal)
     print(f"F_p = {rep.fidelity:.6f}  (process error {100 * (1 - rep.fidelity):.2f}%)")
+    status = EXIT_OK
     if args.dataset is not None:
         dataset = _load_dataset(args.dataset)
         if args.ideal == "identity":
@@ -201,6 +202,10 @@ def cmd_report(args) -> int:
         boot = bootstrap_fidelity(dataset, None, ideal_u,
                                   replicas=args.replicas, seed=args.seed)
         print(f"bootstrap std over {boot.replicas} replicas: {boot.std:.6f}")
+        if boot.unconverged:
+            print(f"warning: MLE did not converge for {boot.unconverged} of "
+                  f"{boot.replicas} bootstrap replicas", file=sys.stderr)
+            status = EXIT_WARNING
     if args.ideal in ("ms", "ms_plus"):
         fit = fit_over_rotation(chi)
         print(f"over-rotation fit: theta+ = {fit.theta:.6f} rad "
@@ -210,7 +215,7 @@ def cmd_report(args) -> int:
         _write_amplitude_csvs(args.output_prefix + "_error", err)
     _write_amplitude_csvs(args.output_prefix, chi)
     print(f"wrote {args.output_prefix}_re.csv / _im.csv amplitude tables")
-    return EXIT_OK
+    return status
 
 
 def cmd_bell(args) -> int:

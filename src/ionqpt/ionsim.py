@@ -399,6 +399,8 @@ class ShotDataset:
         shots = self.plan.shots_per_sequence
         if self.n2.shape != (self.plan.n_sequences,):
             raise ValidationError("n2 must have one entry per sequence")
+        if not np.all(np.isfinite(self.n2)):
+            raise ValidationError("counts must be finite")
         if self.n2.min() < 0 or self.n2.max() > shots:
             raise ValidationError("counts must satisfy 0 <= n2 <= shots")
 

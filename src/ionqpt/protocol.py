@@ -32,7 +32,9 @@ __all__ = [
     "design_tensor",
     "design_matrix",
     "design_rank",
+    "effect_matrix",
     "hermitian_dof_basis",
+    "inversion_map",
     "plan_to_json_dict",
     "plan_from_json_dict",
 ]
@@ -172,9 +174,13 @@ def meas_operator(pair: tuple[RotationSetting, RotationSetting]) -> np.ndarray:
     return np.outer(phi, phi.conj())
 
 
-# Design tensors are pure functions of the sequence settings; cache by the
-# settings signature so plans differing only in timing share them.
+# Design tensors, effect matrices and inversion maps are pure functions of the
+# sequence settings; cache by the settings signature so plans differing only
+# in timing share them.  Effect matrices and inversion maps are stored
+# read-only, since every caller gets the same arrays.
 _DESIGN_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+_EFFECT_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+_INVERSION_CACHE: dict[tuple, tuple[int, np.ndarray | None]] = {}
 
 
 def _plan_signature(plan: ExperimentPlan) -> tuple:
@@ -204,6 +210,37 @@ def _build_design_tensor(rho: np.ndarray, mop: np.ndarray) -> np.ndarray:
 def design_tensor(plan: ExperimentPlan) -> np.ndarray:
     sequence_operators(plan)
     return _DESIGN_CACHE[_plan_signature(plan)][2]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def effect_matrix(plan: ExperimentPlan) -> tuple[np.ndarray, np.ndarray]:
+    """Real form of the Choi-space forward map, and the transposed prep states.
+
+    Row k of the complex effect matrix E is vec(rho_k^T (x) M_k), so that
+    p_k = Tr(J E_k) for a Choi matrix J.  Each E_k is Hermitian, so
+    Tr(J E_k) = sum_ab (Re E_k Re J + Im E_k Im J)_ab.  The first array F,
+    shape (n_seq, 512), is E with the real and imaginary part of each entry
+    in adjacent columns, numpy's memory layout of a complex array.  For a
+    C-contiguous complex J, F @ J.view(float).ravel() is therefore p, and
+    (w @ F).view(complex) is vec R for R = sum_k w_k E_k.  The second array,
+    shape (n_seq, 16), holds vec(rho_k^T) row by row.
+    """
+    sig = _plan_signature(plan)
+    cached = _EFFECT_CACHE.get(sig)
+    if cached is None:
+        rho, mop = sequence_operators(plan)
+        n = len(rho)
+        e = np.einsum("kba,kcd->kacbd", rho, mop).reshape(n, 256)
+        # Column-major storage makes both matrix-vector products faster.
+        forward = np.asfortranarray(np.ascontiguousarray(e).view(np.float64))
+        rho_t = rho.transpose(0, 2, 1).reshape(n, 16).copy()
+        cached = (_read_only(forward), _read_only(rho_t))
+        _EFFECT_CACHE[sig] = cached
+    return cached
 
 
 def predict_p2(chi: ProcessMatrix, plan: ExperimentPlan,
@@ -252,14 +289,36 @@ def design_matrix(plan: ExperimentPlan) -> tuple[np.ndarray, np.ndarray]:
     """
     c = design_tensor(plan)
     h = hermitian_dof_basis()
-    a = np.einsum("amn,kmn->ka", h, c)
+    a = c.reshape(len(c), 256) @ h.reshape(256, 256).T
     return a.real.copy(), h
+
+
+def inversion_map(plan: ExperimentPlan) -> tuple[int, np.ndarray | None]:
+    """Rank of the design matrix, and the least-squares map to chi.
+
+    For a full-rank plan the map L = H^T pinv(A), for (A, H) from
+    ``design_matrix``, gives the least-squares chi from frequencies f as
+    (L @ f).reshape(16, 16).  Singular values at or below max(A.shape) * eps
+    times the largest count as zero, the cutoff of numpy's ``lstsq`` and
+    ``matrix_rank``.  L is None when the rank is below 256.
+    """
+    sig = _plan_signature(plan)
+    cached = _INVERSION_CACHE.get(sig)
+    if cached is None:
+        a, h = design_matrix(plan)
+        u, s, vt = np.linalg.svd(a, full_matrices=False)
+        rank = int(np.sum(s > s[0] * max(a.shape) * np.finfo(float).eps))
+        inverse = None
+        if rank == a.shape[1]:
+            inverse = _read_only(h.reshape(256, 256).T @ ((vt.T / s) @ u.T))
+        cached = (rank, inverse)
+        _INVERSION_CACHE[sig] = cached
+    return cached
 
 
 def design_rank(plan: ExperimentPlan) -> int:
     """Rank of the chi -> probabilities map; 256 for the canonical settings."""
-    a, _ = design_matrix(plan)
-    return int(np.linalg.matrix_rank(a))
+    return inversion_map(plan)[0]
 
 
 # ---------------------------------------------------------------------------

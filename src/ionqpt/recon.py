@@ -3,11 +3,20 @@
 ``linear_inversion`` solves the 256x256 linear system from frequencies and is
 fast but can return unphysical (non-PSD) matrices when the data are noisy.
 ``mle_reconstruct`` maximizes the per-sequence binomial likelihood of the
-both-bright counts over CPTP maps, parameterized by the Choi matrix, with a
-diluted fixed-point iteration: J <- Lambda^-1 R_d J R_d Lambda^-1, where R_d
-mixes the likelihood gradient operator R with the identity for stability and
+both-bright counts over CPTP maps, parameterized by the Choi matrix J, with
+the diluted fixed-point iteration of Jezek, Fiurasek & Hradil, PRA 68, 012305
+(2003): J <- Lambda^-1 R_d J R_d Lambda^-1, where R_d mixes the likelihood
+gradient operator R with the identity for stability and
 Lambda = (Tr_out[R_d J R_d])^(1/2) (x) I enforces trace preservation each
 step.  Only P2 enters the likelihood; P1/P0 counts are ignored by design.
+
+Both halves of an iteration read the plan's cached effect matrix E, whose
+row k is vec(rho_k^T (x) M_k) (``protocol.effect_matrix``, kept as a real
+matrix F).  The probabilities p_k = Tr(J E_k) are one matrix-vector product
+of F with the real view of vec J.  With w = n2/p - n_other/(1-p) and
+b = n_other/(1-p), the gradient operator is
+R = sum_k w_k E_k + (sum_k b_k rho_k^T) (x) I, because the effect of the
+other outcomes is rho_k^T (x) I - E_k: one product w @ F plus a 16-term sum.
 """
 from __future__ import annotations
 
@@ -27,7 +36,7 @@ from .process import (
     project_to_physical,
     unitary_to_chi,
 )
-from .protocol import design_matrix, sequence_operators
+from .protocol import effect_matrix, inversion_map
 from .qmath import ValidationError
 
 __all__ = [
@@ -59,6 +68,8 @@ class MleConfig:
     epsilon_probability_floor: float = 1e-12
 
     def __post_init__(self):
+        if self.max_iterations < 1:
+            raise ValidationError("max_iterations must be >= 1")
         if self.log_likelihood_tolerance <= 0:
             raise ValidationError("log_likelihood_tolerance must be > 0")
         if not (0.0 < self.dilution <= 1.0):
@@ -91,18 +102,20 @@ class BootstrapReport:
     replicas: int
     fidelity_samples: np.ndarray
     std: float
+    # Replicas whose MLE ran out of iterations; their samples are in the
+    # spread all the same.
+    unconverged: int
 
 
 def linear_inversion(dataset: ShotDataset
                      ) -> tuple[ProcessMatrix, LinearInversionDiagnostics]:
     """Least-squares chi from frequencies; Hermitian and trace-normalized but
     not necessarily PSD."""
-    a, h = design_matrix(dataset.plan)
-    x, _, rank, _ = np.linalg.lstsq(a, dataset.frequencies, rcond=None)
-    if rank < 256:
+    rank, inverse = inversion_map(dataset.plan)
+    if inverse is None:
         raise IdentifiabilityError(
             f"plan design rank {rank} < 256; chi is not identifiable")
-    chi = np.einsum("a,amn->mn", x, h)
+    chi = (inverse @ dataset.frequencies).reshape(16, 16)
     raw_trace = float(chi.trace().real)
     chi = chi / raw_trace
     min_eig = float(np.linalg.eigvalsh(0.5 * (chi + chi.conj().T))[0])
@@ -111,12 +124,12 @@ def linear_inversion(dataset: ShotDataset
                                        raw_trace=raw_trace))
 
 
-def _likelihood_operators(plan) -> tuple[np.ndarray, np.ndarray]:
-    rho, mop = sequence_operators(plan)
-    eye = np.eye(4, dtype=complex)
-    e_bright = np.stack([np.kron(r.T, m) for r, m in zip(rho, mop)])
-    e_other = np.stack([np.kron(r.T, eye - m) for r, m in zip(rho, mop)])
-    return e_bright, e_other
+_EYE4 = np.eye(4)
+
+
+def _kron_eye4(m: np.ndarray) -> np.ndarray:
+    """kron(m, I_4) of a 4x4 matrix."""
+    return (m[:, None, :, None] * _EYE4[None, :, None, :]).reshape(16, 16)
 
 
 def _partial_trace_out(g: np.ndarray) -> np.ndarray:
@@ -129,26 +142,27 @@ def _psd_sqrt_inv(m: np.ndarray) -> np.ndarray:
     return (v / np.sqrt(w)) @ v.conj().T
 
 
-def mle_reconstruct(dataset: ShotDataset, config: MleConfig | None = None
-                    ) -> tuple[ProcessMatrix, MleResult]:
-    """CPTP maximum-likelihood chi for the dataset's both-bright counts."""
-    config = config or MleConfig()
+def _mle_choi(dataset: ShotDataset, config: MleConfig
+              ) -> tuple[np.ndarray, list[float], bool]:
+    """Run the iteration; returns the last Choi matrix J, the log-likelihood
+    of every iterate before it, and whether the stop rule was met."""
     plan = dataset.plan
     shots = plan.shots_per_sequence
     n2 = dataset.n2
     n_other = shots - n2
     total = float(shots * plan.n_sequences)
-    e_bright, e_other = _likelihood_operators(plan)
+    forward, rho_t = effect_matrix(plan)
     eps = config.epsilon_probability_floor
     d = config.dilution
     eye16 = np.eye(16, dtype=complex)
-    eye4 = np.eye(4, dtype=complex)
 
     j = eye16 / 4.0  # maximally mixed channel, trivially CPTP
     log_ls: list[float] = []
     converged = False
     for _ in range(config.max_iterations):
-        p = np.einsum("ab,kba->k", j, e_bright).real
+        # j is C-contiguous complex, so its float view is vec J with Re and
+        # Im interleaved, the column order of ``forward``.
+        p = forward @ j.view(float).ravel()
         p = np.clip(p, eps, 1.0 - eps)
         log_l = float(n2 @ np.log(p) + n_other @ np.log1p(-p))
         if log_ls and abs(log_l - log_ls[-1]) < config.log_likelihood_tolerance:
@@ -156,15 +170,22 @@ def mle_reconstruct(dataset: ShotDataset, config: MleConfig | None = None
             converged = True
             break
         log_ls.append(log_l)
-        r = (np.einsum("k,kab->ab", n2 / p, e_bright)
-             + np.einsum("k,kab->ab", n_other / (1.0 - p), e_other))
+        b = n_other / (1.0 - p)
+        r = (((n2 / p - b) @ forward).view(complex).reshape(16, 16)
+             + _kron_eye4((b @ rho_t).reshape(4, 4)))
         # Balance scales so that Tr(R_hat J) = Tr(I J) = 4 at the current J.
         r_d = (1.0 - d) * eye16 + d * (4.0 / total) * r
         g = r_d @ j @ r_d
-        lam_inv = np.kron(_psd_sqrt_inv(_partial_trace_out(g)), eye4)
+        lam_inv = _kron_eye4(_psd_sqrt_inv(_partial_trace_out(g)))
         j = lam_inv @ g @ lam_inv
         j = 0.5 * (j + j.conj().T)
+    return j, log_ls, converged
 
+
+def mle_reconstruct(dataset: ShotDataset, config: MleConfig | None = None
+                    ) -> tuple[ProcessMatrix, MleResult]:
+    """CPTP maximum-likelihood chi for the dataset's both-bright counts."""
+    j, log_ls, converged = _mle_choi(dataset, config or MleConfig())
     chi = project_to_physical(choi_to_chi(j))
     result = MleResult(iterations=len(log_ls), log_likelihoods=np.array(log_ls),
                        converged=converged)
@@ -181,11 +202,13 @@ def max_threads() -> int:
 
 def bootstrap_statistic(dataset: ShotDataset, config: MleConfig | None,
                         statistic: Callable[[ProcessMatrix], float],
-                        replicas: int, seed: int) -> np.ndarray:
+                        replicas: int, seed: int,
+                        results: list[MleResult] | None = None) -> np.ndarray:
     """Resample counts binomially, re-run MLE, evaluate a scalar statistic.
 
     Each replica draws n2' ~ Binomial(shots, n2/shots) from its own seeded
-    stream, so results are independent of execution order.
+    stream, so results are independent of execution order.  If ``results``
+    is given, each replica's ``MleResult`` is appended to it in replica order.
     """
     if replicas < 2:
         raise ValidationError("bootstrap needs at least 2 replicas")
@@ -193,19 +216,23 @@ def bootstrap_statistic(dataset: ShotDataset, config: MleConfig | None,
     shots = plan.shots_per_sequence
     freq = dataset.frequencies
 
-    def one(r: int) -> float:
+    def one(r: int) -> tuple[float, MleResult]:
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
         resampled = ShotDataset(plan=plan, noise=dataset.noise,
                                 process=dataset.process, seed=None,
                                 n2=rng.binomial(shots, freq).astype(float))
-        chi, _ = mle_reconstruct(resampled, config)
-        return float(statistic(chi))
+        chi, result = mle_reconstruct(resampled, config)
+        return float(statistic(chi)), result
 
     workers = max_threads()
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return np.array(list(pool.map(one, range(replicas))))
-    return np.array([one(r) for r in range(replicas)])
+            outs = list(pool.map(one, range(replicas)))
+    else:
+        outs = [one(r) for r in range(replicas)]
+    if results is not None:
+        results.extend(result for _, result in outs)
+    return np.array([value for value, _ in outs])
 
 
 def bootstrap_fidelity(dataset: ShotDataset, config: MleConfig | None,
@@ -213,9 +240,11 @@ def bootstrap_fidelity(dataset: ShotDataset, config: MleConfig | None,
                        seed: int) -> BootstrapReport:
     """Bootstrap standard deviation of F_p versus a unitary target."""
     chi_ideal = unitary_to_chi(ideal_u)
+    results: list[MleResult] = []
     samples = bootstrap_statistic(
         dataset, config,
         lambda chi: process_fidelity(chi, chi_ideal).fidelity,
-        replicas, seed)
+        replicas, seed, results)
     return BootstrapReport(replicas=replicas, fidelity_samples=samples,
-                           std=float(np.std(samples, ddof=1)))
+                           std=float(np.std(samples, ddof=1)),
+                           unconverged=sum(not r.converged for r in results))

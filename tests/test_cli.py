@@ -105,6 +105,14 @@ def test_reconstruct_missing_dataset_exit_2(tmp_path):
                "-o", str(tmp_path / "chi.json")) == 2
 
 
+def test_reconstruct_zero_iterations_exit_2(small_dataset, tmp_path, capsys):
+    assert run("reconstruct", small_dataset, "--max-iterations", "0",
+               "-o", str(tmp_path / "chi.json")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # report
 # ---------------------------------------------------------------------------
@@ -137,6 +145,24 @@ def test_report_over_rotated(tmp_path, capsys):
     peaks = {tuple(idx) for idx in
              np.argwhere(off > 0.99 * off.max())}
     assert peaks == {(0, 5), (5, 0)}
+
+
+def test_report_unconverged_bootstrap_warns(small_dataset, tmp_path, capsys,
+                                            monkeypatch):
+    import ionqpt.cli
+    from ionqpt.recon import MleConfig, bootstrap_fidelity
+
+    def short_budget(dataset, config, *args, **kwargs):
+        return bootstrap_fidelity(dataset, MleConfig(max_iterations=5),
+                                  *args, **kwargs)
+
+    monkeypatch.setattr(ionqpt.cli, "bootstrap_fidelity", short_budget)
+    chi_path = str(tmp_path / "chi.json")
+    save_chi(chi_path, unitary_to_chi(matrix_exponential(_XX, math.pi / 4)))
+    assert run("report", chi_path, "--ideal", "ms", "--dataset",
+               small_dataset, "--replicas", "2",
+               "-o", str(tmp_path / "rep")) == 1
+    assert "2 of 2 bootstrap replicas" in capsys.readouterr().err
 
 
 def test_report_missing_chi_exit_2(tmp_path):

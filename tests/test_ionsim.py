@@ -162,6 +162,12 @@ def test_dataset_validation():
     with pytest.raises(ValidationError):
         ShotDataset(plan=plan, noise=NoiseModel.none(), process=proc,
                     seed=0, n2=np.zeros(255))
+    for bad in (np.nan, np.inf):
+        n2 = np.full(256, 5.0)
+        n2[7] = bad
+        with pytest.raises(ValidationError):
+            ShotDataset(plan=plan, noise=NoiseModel.none(), process=proc,
+                        seed=0, n2=n2)
 
 
 def test_dataset_json_roundtrip(tmp_path):
