@@ -42,7 +42,6 @@ from .protocol import (
 )
 from .ionsim import (
     NoiseModel,
-    NoiseTrajectory,
     ProcessSpec,
     ShotDataset,
     composite_rotation,
@@ -52,7 +51,6 @@ from .ionsim import (
     ramsey_contrast_model,
     sample_trajectory,
     simulate_ramsey,
-    simulate_shot,
 )
 from .recon import (
     BootstrapReport,

@@ -10,6 +10,12 @@ scaling.  The entangling-gate propagator is applied at the midpoint of the
 process window with its rotation axes following the accrued laser phase, so
 free evolution before and after the gate dephases the surrounding pulses.
 
+All shots of a sequence are simulated in one vectorized pass.  Only the
+column of the shot unitary that acts on |SS> is needed, so each shot carries
+the amplitudes psi[ion 1, ion 2] of that state: a pulse is psi <- A psi B^T
+with batched closed-form rotations A and B, and the gate mixes psi with its
+both-ions-flipped image.
+
 Datasets are deterministic for a fixed seed under any execution order: each
 (sequence, shot) pair draws from its own counter-derived RNG stream.
 """
@@ -17,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -36,11 +42,9 @@ from .qmath import ValidationError, matrix_exponential, two_qubit_pauli_basis
 __all__ = [
     "NoiseModel",
     "ProcessSpec",
-    "NoiseTrajectory",
     "ShotDataset",
     "composite_rotation",
     "sample_trajectory",
-    "simulate_shot",
     "generate_dataset",
     "dataset_from_probabilities",
     "simulate_ramsey",
@@ -75,8 +79,12 @@ class NoiseModel:
     pulse_area_fractional_error: float = 0.0
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in asdict(self).values()):
+            raise ValidationError("noise parameters must be finite")
         if self.fast_freq_sigma_hz < 0 or self.phase_diffusion_rad_per_sqrt_us < 0:
             raise ValidationError("noise sigmas must be nonnegative")
+        if self.pulse_area_fractional_error <= -1.0:
+            raise ValidationError("pulse_area_fractional_error must be > -1")
 
     @classmethod
     def none(cls) -> "NoiseModel":
@@ -286,96 +294,85 @@ def _shot_schedule(plan: ExperimentPlan, seq_index: int, process: ProcessSpec,
     return sched
 
 
-@dataclass(frozen=True)
-class NoiseTrajectory:
-    """One shot's noise realization at the laser-event times."""
-
-    freq_offset_hz: float
-    event_times_us: np.ndarray
-    phase_offsets: np.ndarray   # accrued laser-phase deviation per event (rad)
-    theta_actual: np.ndarray
-    phi1_actual: np.ndarray
-    phi2_actual: np.ndarray
-    kinds: np.ndarray
-
-
 def _shot_rng(seed: int, seq_index: int, shot_index: int) -> np.random.Generator:
     ss = np.random.SeedSequence(seed, spawn_key=(seq_index, shot_index))
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def sample_trajectory(plan: ExperimentPlan, seq_index: int, shot_index: int,
-                      noise: NoiseModel, rng: np.random.Generator,
-                      process: ProcessSpec | None = None) -> NoiseTrajectory:
-    """Draw one shot's frequency offset and laser-phase walk.
+def sample_trajectory(plan: ExperimentPlan, seq_index: int, noise: NoiseModel,
+                      seed: int, process: ProcessSpec | None = None
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw the frequency offsets, laser-phase walks and readout draws of
+    every shot of one sequence.
 
+    Shot ``s`` draws from its own stream ``_shot_rng(seed, seq_index, s)``:
+    first ``n_events + 1`` standard normals (the fast frequency offset, then
+    one phase-diffusion increment per event), then one uniform readout draw.
     The slow drift contribution is evaluated at the sequence start time and is
     therefore constant across all shots of a sequence; the fast Gaussian
     offset is redrawn per shot.  Phase-diffusion increments scale with the
-    square root of the interval between consecutive events.  The draw count
-    depends only on (plan, sequence, process), so streams are reproducible.
+    square root of the interval between consecutive events.
+
+    Returns ``(freq_offset_hz, phase_offsets, readout)`` of shapes
+    ``(shots,)``, ``(shots, n_events)`` and ``(shots,)``; ``phase_offsets``
+    is the accrued laser-phase deviation (rad) at each event.
     """
     process = process or ProcessSpec.identity()
     sched = _shot_schedule(plan, seq_index, process, noise)
-    n = len(sched.times_us)
-    z = rng.standard_normal(n + 1)
+    shots = plan.shots_per_sequence
+    z = np.empty((shots, len(sched.times_us) + 1))
+    readout = np.empty(shots)
+    for s in range(shots):
+        rng = _shot_rng(seed, seq_index, s)
+        rng.standard_normal(out=z[s])
+        readout[s] = rng.random()
     t_min = plan.sequences[seq_index].start_time_s / 60.0
     freq = (noise.drift_hz_per_min * t_min
-            + noise.fast_freq_gaussian_sigma_hz * z[0])
+            + noise.fast_freq_gaussian_sigma_hz * z[:, 0])
     dt = np.diff(np.concatenate(([0.0], sched.times_us)))
-    walk = np.cumsum(z[1:] * noise.phase_diffusion_rad_per_sqrt_us * np.sqrt(dt))
-    offsets = 2.0 * math.pi * freq * sched.times_us * 1e-6 + walk
-    return NoiseTrajectory(
-        freq_offset_hz=float(freq),
-        event_times_us=sched.times_us,
-        phase_offsets=offsets,
-        theta_actual=sched.thetas,
-        phi1_actual=sched.phi1 + offsets,
-        phi2_actual=sched.phi2 + offsets,
-        kinds=sched.kinds,
-    )
+    walk = np.cumsum(z[:, 1:] * noise.phase_diffusion_rad_per_sqrt_us
+                     * np.sqrt(dt), axis=1)
+    offsets = 2.0 * math.pi * freq[:, None] * sched.times_us * 1e-6 + walk
+    return freq, offsets, readout
 
 
-def _shot_unitary(traj: NoiseTrajectory) -> np.ndarray:
-    u = _I4
-    for i in range(len(traj.event_times_us)):
-        if traj.kinds[i] == _KIND_PULSE:
-            g = np.kron(rotation_unitary(traj.theta_actual[i], traj.phi1_actual[i]),
-                        rotation_unitary(traj.theta_actual[i], traj.phi2_actual[i]))
+def _rotate(u: np.ndarray, v: np.ndarray, c: float, x: np.ndarray):
+    """Apply [[c, x], [-x*, c]] to the amplitude pairs (u, v) of one ion."""
+    return c * u + x * v, c * v - x.conj() * u
+
+
+def _sequence_probabilities(sched: _ShotSchedule, offsets: np.ndarray
+                            ) -> tuple[np.ndarray, np.ndarray]:
+    """(p2, p0) per shot: both-bright and both-dark probabilities from |SS>.
+
+    ``pjk`` holds, per shot, the amplitude of ion 1 in j and ion 2 in k.  A
+    pulse R(theta, phi1) x R(theta, phi2) is psi <- A psi B^T: A mixes the
+    ion-1 pairs (p0k, p1k), B the ion-2 pairs (pj0, pj1).  The gate
+    cos(theta) I - i sin(theta) (a x a), with a = [[0, e^-id], [e^id, 0]]
+    following the accrued phase d, mixes pjk with p(1-j)(1-k), with the
+    phases e^-2id, 1, 1, e^2id.
+    """
+    shots = offsets.shape[0]
+    s = -1j * np.sin(sched.thetas / 2)
+    x1 = s * np.exp(-1j * (sched.phi1 + offsets))
+    x2 = s * np.exp(-1j * (sched.phi2 + offsets))
+    p00 = np.ones(shots, dtype=complex)
+    p01 = p10 = p11 = np.zeros(shots, dtype=complex)
+    for i, kind in enumerate(sched.kinds):
+        theta = sched.thetas[i]
+        if kind == _KIND_PULSE:
+            c = math.cos(theta / 2)
+            p00, p10 = _rotate(p00, p10, c, x1[:, i])
+            p01, p11 = _rotate(p01, p11, c, x1[:, i])
+            p00, p01 = _rotate(p00, p01, c, x2[:, i])
+            p10, p11 = _rotate(p10, p11, c, x2[:, i])
         else:
-            # Entangling propagator; rotation axes follow the accrued laser phase.
-            delta = traj.phase_offsets[i]
-            ax = np.array([[0.0, np.exp(-1j * delta)],
-                           [np.exp(1j * delta), 0.0]], dtype=complex)
-            axx = np.kron(ax, ax)
-            th = traj.theta_actual[i]
-            g = math.cos(th) * _I4 - 1j * math.sin(th) * axx
-        u = g @ u
-    return u
-
-
-def _shot_probabilities(traj: NoiseTrajectory) -> tuple[float, float]:
-    """(p2, p0): both-bright and both-dark probabilities from |SS>."""
-    u = _shot_unitary(traj)
-    return float(abs(u[0, 0]) ** 2), float(abs(u[3, 0]) ** 2)
-
-
-def simulate_shot(plan: ExperimentPlan, seq_index: int, shot_index: int,
-                  process: ProcessSpec, noise: NoiseModel,
-                  rng: np.random.Generator) -> int:
-    """Simulate one shot; returns the detected bright-ion count (2, 1 or 0)."""
-    traj = sample_trajectory(plan, seq_index, shot_index, noise, rng, process)
-    p2, p0 = _shot_probabilities(traj)
-    return _draw_outcome(p2, p0, rng.random())
-
-
-def _draw_outcome(p2: float, p0: float, u: float) -> int:
-    p1 = max(0.0, 1.0 - p2 - p0)
-    if u < p2:
-        return 2
-    if u < p2 + p1:
-        return 1
-    return 0
+            c, ms = math.cos(theta), -1j * math.sin(theta)
+            phase = np.exp(-2j * offsets[:, i])
+            p00, p11 = (c * p00 + ms * phase * p11,
+                        c * p11 + ms * phase.conj() * p00)
+            p01, p10 = c * p01 + ms * p10, c * p10 + ms * p01
+    return np.abs(p00) ** 2, np.abs(p11) ** 2
 
 
 @dataclass
@@ -395,14 +392,21 @@ class ShotDataset:
     n0: np.ndarray | None = None
 
     def __post_init__(self):
-        self.n2 = np.asarray(self.n2, dtype=float)
         shots = self.plan.shots_per_sequence
-        if self.n2.shape != (self.plan.n_sequences,):
-            raise ValidationError("n2 must have one entry per sequence")
-        if not np.all(np.isfinite(self.n2)):
-            raise ValidationError("counts must be finite")
-        if self.n2.min() < 0 or self.n2.max() > shots:
-            raise ValidationError("counts must satisfy 0 <= n2 <= shots")
+        for name in ("n2", "n1", "n0"):
+            if name != "n2" and getattr(self, name) is None:
+                continue
+            n = np.asarray(getattr(self, name), dtype=float)
+            setattr(self, name, n)
+            if n.shape != (self.plan.n_sequences,):
+                raise ValidationError(f"{name} must have one entry per sequence")
+            if not np.all(np.isfinite(n)):
+                raise ValidationError("counts must be finite")
+            if n.min() < 0 or n.max() > shots:
+                raise ValidationError(f"counts must satisfy 0 <= {name} <= shots")
+        if (self.n1 is not None and self.n0 is not None
+                and np.any(self.n0 + self.n1 + self.n2 != shots)):
+            raise ValidationError("counts must satisfy n0 + n1 + n2 == shots")
 
     @property
     def frequencies(self) -> np.ndarray:
@@ -466,33 +470,22 @@ def generate_dataset(plan: ExperimentPlan, process: ProcessSpec,
                      noise: NoiseModel, seed: int) -> ShotDataset:
     """Run all sequences and shots of the plan; deterministic for fixed seed.
 
-    When the noise model has no per-shot randomness the shot unitary is
-    constant within a sequence, so the probabilities are computed once per
-    sequence; the per-shot RNG streams are still consumed identically, keeping
-    datasets bit-identical across the fast and general paths.
+    Each sequence is one vectorized pass over its shots.  A shot reads 2
+    bright ions when its readout draw u < p2, 1 when u < p2 + p1 with
+    p1 = max(0, 1 - p2 - p0), and 0 otherwise.
     """
     shots = plan.shots_per_sequence
-    nseq = plan.n_sequences
-    n2 = np.zeros(nseq, dtype=float)
-    n1 = np.zeros(nseq, dtype=float)
-    n0 = np.zeros(nseq, dtype=float)
-    per_seq_cached = noise.is_shot_deterministic
-    for k in range(nseq):
-        probs = None
-        for s in range(shots):
-            rng = _shot_rng(seed, k, s)
-            traj = sample_trajectory(plan, k, s, noise, rng, process)
-            if probs is None or not per_seq_cached:
-                probs = _shot_probabilities(traj)
-            outcome = _draw_outcome(probs[0], probs[1], rng.random())
-            if outcome == 2:
-                n2[k] += 1
-            elif outcome == 1:
-                n1[k] += 1
-            else:
-                n0[k] += 1
+    n2 = np.zeros(plan.n_sequences)
+    n1 = np.zeros(plan.n_sequences)
+    for k in range(plan.n_sequences):
+        _, offsets, u = sample_trajectory(plan, k, noise, seed, process)
+        p2, p0 = _sequence_probabilities(
+            _shot_schedule(plan, k, process, noise), offsets)
+        p1 = np.maximum(0.0, 1.0 - p2 - p0)
+        n2[k] = np.count_nonzero(u < p2)
+        n1[k] = np.count_nonzero((u >= p2) & (u < p2 + p1))
     return ShotDataset(plan=plan, noise=noise, process=process, seed=seed,
-                       n2=n2, n1=n1, n0=n0)
+                       n2=n2, n1=n1, n0=shots - n2 - n1)
 
 
 def dataset_from_probabilities(plan: ExperimentPlan, probabilities: np.ndarray,

@@ -74,6 +74,8 @@ class MleConfig:
             raise ValidationError("log_likelihood_tolerance must be > 0")
         if not (0.0 < self.dilution <= 1.0):
             raise ValidationError("dilution must be in (0, 1]")
+        if not (0.0 < self.epsilon_probability_floor < 0.5):
+            raise ValidationError("epsilon_probability_floor must be in (0, 0.5)")
 
 
 @dataclass

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ionqpt.cli import main
-from ionqpt.ionsim import ShotDataset
+from ionqpt.ionsim import NoiseModel, ShotDataset
 from ionqpt.process import load_chi, save_chi, unitary_to_chi
 from ionqpt.qmath import matrix_exponential, two_qubit_pauli_basis
 
@@ -60,6 +60,25 @@ def test_simulate_bad_noise_file_exit_2(tmp_path):
     assert run("simulate", "--process", "identity", "--noise",
                str(tmp_path / "missing.json"), "--shots", "10",
                "--seed", "1", "-o", out) == 2
+
+
+@pytest.mark.parametrize("field,value", [
+    ("drift_hz_per_min", float("nan")),
+    ("phase_diffusion_rad_per_sqrt_us", float("inf")),
+    ("pulse_area_fractional_error", -1.0),
+])
+def test_simulate_out_of_range_noise_exit_2(tmp_path, capsys, field, value):
+    doc = NoiseModel.paper_study().to_dict()
+    doc[field] = value
+    noise_path = str(tmp_path / "noise.json")
+    with open(noise_path, "w") as fh:
+        json.dump(doc, fh)
+    out = str(tmp_path / "ds.json")
+    assert run("simulate", "--process", "identity", "--noise", noise_path,
+               "--shots", "10", "--seed", "1", "-o", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

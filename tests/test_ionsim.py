@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -15,6 +16,12 @@ from ionqpt.ionsim import (
     ramsey_contrast_model,
     sample_trajectory,
     simulate_ramsey,
+)
+from ionqpt.ionsim import (
+    _KIND_PULSE,
+    _sequence_probabilities,
+    _shot_rng,
+    _shot_schedule,
 )
 from ionqpt.protocol import build_plan, predict_p2, rotation_unitary
 from ionqpt.qmath import ValidationError
@@ -44,6 +51,17 @@ def test_noise_model_fwhm_conversion():
 def test_noise_model_validation_and_roundtrip():
     with pytest.raises(ValidationError):
         NoiseModel(fast_freq_sigma_hz=-1.0)
+    for field in ("drift_hz_per_min", "fast_freq_sigma_hz",
+                  "phase_diffusion_rad_per_sqrt_us", "phi_p_error_mrad",
+                  "scaling_phase_error_mrad_ion2",
+                  "pulse_area_fractional_error"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValidationError):
+                NoiseModel(**{field: bad})
+    for bad in (-1.0, -1.5):
+        with pytest.raises(ValidationError):
+            NoiseModel(pulse_area_fractional_error=bad)
+    NoiseModel(pulse_area_fractional_error=-0.5)
     n = NoiseModel.paper_study()
     assert NoiseModel.from_dict(n.to_dict()) == n
 
@@ -99,13 +117,12 @@ def test_composite_rotation_miscalibration_is_differential():
 def test_sample_trajectory_drift_constant_within_sequence():
     plan = build_plan(shots=10)
     noise = NoiseModel.drift_only()
-    rng0 = np.random.default_rng(0)
-    freqs = {sample_trajectory(plan, 100, s, noise, rng0).freq_offset_hz
-             for s in range(5)}
+    freq100, _, _ = sample_trajectory(plan, 100, noise, seed=0)
+    freqs = set(freq100[:5])
     assert len(freqs) == 1
     # later sequences have drifted further
-    t100 = sample_trajectory(plan, 100, 0, noise, rng0).freq_offset_hz
-    t200 = sample_trajectory(plan, 200, 0, noise, rng0).freq_offset_hz
+    t100 = freq100[0]
+    t200 = sample_trajectory(plan, 200, noise, seed=0)[0][0]
     assert t200 > t100 > 0.0
 
 
@@ -113,11 +130,49 @@ def test_sample_trajectory_jitter_varies_per_shot():
     plan = build_plan(shots=10)
     noise = NoiseModel(drift_hz_per_min=0.0, fast_freq_sigma_hz=300.0,
                        phase_diffusion_rad_per_sqrt_us=0.0)
-    from ionqpt.ionsim import _shot_rng
-
-    freqs = {sample_trajectory(plan, 3, s, noise, _shot_rng(0, 3, s)).freq_offset_hz
-             for s in range(5)}
+    freq, offsets, readout = sample_trajectory(plan, 3, noise, seed=0)
+    freqs = set(freq[:5])
     assert len(freqs) == 5
+    # shot 4 reads its own stream: the normals, then the readout draw
+    rng = _shot_rng(0, 3, 4)
+    z = rng.standard_normal(offsets.shape[1] + 1)
+    assert freq[4] == noise.fast_freq_gaussian_sigma_hz * z[0]
+    assert readout[4] == rng.random()
+
+
+def _reference_shot_unitary(sched, offsets):
+    """The per-shot kron product of 4x4 event unitaries, kept as the
+    reference for the batched simulator."""
+    u = np.eye(4, dtype=complex)
+    for i, kind in enumerate(sched.kinds):
+        th = sched.thetas[i]
+        if kind == _KIND_PULSE:
+            g = np.kron(rotation_unitary(th, sched.phi1[i] + offsets[i]),
+                        rotation_unitary(th, sched.phi2[i] + offsets[i]))
+        else:
+            delta = offsets[i]
+            ax = np.array([[0.0, np.exp(-1j * delta)],
+                           [np.exp(1j * delta), 0.0]], dtype=complex)
+            g = (math.cos(th) * np.eye(4)
+                 - 1j * math.sin(th) * np.kron(ax, ax))
+        u = g @ u
+    return u
+
+
+@pytest.mark.parametrize("proc", [ProcessSpec.delay(), ProcessSpec.ms_plus()],
+                         ids=lambda p: p.label)
+def test_batched_probabilities_match_kron_reference(proc):
+    plan = plan_for_process(proc, shots=4)
+    noise = NoiseModel.paper_study()
+    for k in range(plan.n_sequences):
+        sched = _shot_schedule(plan, k, proc, noise)
+        _, offsets, _ = sample_trajectory(plan, k, noise, 11, proc)
+        p2, p0 = _sequence_probabilities(sched, offsets)
+        u = np.array([_reference_shot_unitary(sched, off) for off in offsets])
+        np.testing.assert_allclose(p2, np.abs(u[:, 0, 0]) ** 2,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(p0, np.abs(u[:, 3, 0]) ** 2,
+                                   rtol=0, atol=1e-12)
 
 
 def test_generate_dataset_deterministic_and_noiseless_corners():
@@ -170,6 +225,30 @@ def test_dataset_validation():
                         seed=0, n2=n2)
 
 
+def test_dataset_validation_n1_n0():
+    proc = ProcessSpec.identity()
+    plan = plan_for_process(proc, shots=10)
+
+    def make(n1=None, n0=None, n2=4.0):
+        return ShotDataset(
+            plan=plan, noise=NoiseModel.none(), process=proc, seed=0,
+            n2=np.full(256, n2),
+            n1=None if n1 is None else np.full(256, n1),
+            n0=None if n0 is None else np.full(256, n0))
+
+    make(n1=3.0, n0=3.0)
+    make(n1=3.0)
+    make(n0=6.0)
+    for kwargs in ({"n1": 9.0, "n0": -3.0}, {"n1": np.nan},
+                   {"n0": np.inf}, {"n1": 11.0}, {"n0": -1.0},
+                   {"n1": 3.0, "n0": 2.0}, {"n1": 3.0, "n0": 4.0}):
+        with pytest.raises(ValidationError):
+            make(**kwargs)
+    with pytest.raises(ValidationError):
+        ShotDataset(plan=plan, noise=NoiseModel.none(), process=proc,
+                    seed=0, n2=np.full(256, 4.0), n1=np.full(255, 3.0))
+
+
 def test_dataset_json_roundtrip(tmp_path):
     proc = ProcessSpec.delay()
     plan = plan_for_process(proc, shots=25)
@@ -211,3 +290,35 @@ def test_simulate_ramsey_matches_analytic_kernel():
 def test_simulate_ramsey_rejects_nonpositive_delay():
     with pytest.raises(ValidationError):
         simulate_ramsey([0.0], NoiseModel.none(), shots=10)
+
+
+# SHA-256 of the float64 bytes of (n2, n1, n0), frozen from the per-shot
+# simulator that the batched one replaced: the datasets must not change.
+GOLDEN_DATASETS = [
+    ("identity", "paper", 30, 11,
+     "a5bac674416ba4fd9224254d1c8aef2613b725ddc9dc22c78fc48f8fc8c01b26"),
+    ("delay", "paper", 30, 11,
+     "61de9fdd24dd038aeefc359c7f6940981e409e8510ccd990aeda4246f35347ee"),
+    ("ms", "paper", 30, 11,
+     "c8cb60ca412232d2b1864a94846c057e334feea40fb97173aa16cfa750cf6ac0"),
+    ("ms_plus", "paper", 30, 11,
+     "f84b7b82d6b8d631140fb66464ff495c1ae9108dbaa1857d08c2087980698e83"),
+    ("ms", "default", 20, 3,
+     "f6e3179f82b625aa6c6ff8158f27d91a5a490b42fded55650a4c514ff943241f"),
+    ("ms", "none", 50, 0,
+     "42f089783a3136dfccdb31fa5abad1ac8779082cac041e2760a196b2f4dabc9e"),
+    ("ms", "none", 50, 2,
+     "78a0dc96ffa17084b58a1af20a8aba14ae1fcbdff4b84f60a4220613db0fb7c3"),
+]
+_NOISES = {"paper": NoiseModel.paper_study, "default": NoiseModel,
+           "none": NoiseModel.none}
+
+
+@pytest.mark.parametrize("label,noise,shots,seed,digest", GOLDEN_DATASETS,
+                         ids=lambda v: str(v)[:8])
+def test_generate_dataset_golden_hashes(label, noise, shots, seed, digest):
+    proc = getattr(ProcessSpec, label)()
+    plan = plan_for_process(proc, shots=shots)
+    ds = generate_dataset(plan, proc, _NOISES[noise](), seed)
+    counts = np.stack([ds.n2, ds.n1, ds.n0]).astype("<f8")
+    assert hashlib.sha256(counts.tobytes()).hexdigest() == digest

@@ -56,6 +56,9 @@ def test_mle_config_validation():
         MleConfig(dilution=1.5)
     with pytest.raises(ValidationError):
         MleConfig(max_iterations=0)
+    for eps in (0.0, -1.0, 0.5, 0.7, float("nan")):
+        with pytest.raises(ValidationError):
+            MleConfig(epsilon_probability_floor=eps)
 
 
 def test_linear_inversion_exact(ms_exact_dataset):
