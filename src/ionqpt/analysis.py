@@ -6,11 +6,9 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.constants as const
-import scipy.linalg
 import scipy.optimize
 
 from .ionsim import ramsey_contrast_model
@@ -41,6 +39,7 @@ __all__ = [
 
 _XX = two_qubit_pauli_basis()[5]
 _KET_SS = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+_MAX_DIM = 4096  # largest Fock truncation of the motional mode
 
 
 class FitError(RuntimeError):
@@ -230,88 +229,66 @@ class MotionalOccupation:
             raise ValidationError("occupation parameters must be nonnegative")
 
 
-@lru_cache(maxsize=16)
-def _displacement_schur(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    # The displacement generator a^dag - a is real antisymmetric (hence
-    # normal), so its real Schur form is block diagonal with 2x2 rotation
-    # generators: exp(alpha A) = Q E(alpha) Q^T with E built from cheap
-    # per-block sines/cosines.  Caching (Q, block frequencies) makes repeated
-    # displacements at the same truncation O(dim^2) setup + one real matmul.
-    a = np.diag(np.sqrt(np.arange(1, dim, dtype=float)), 1)
-    t, q = scipy.linalg.schur(a.T - a, output="real")
-    return t, q
-
-
-def _displacement_matrix(alpha: float, dim: int) -> np.ndarray:
-    """exp(alpha (a^dag - a)) in the truncated Fock basis (real orthogonal)."""
-    t, q = _displacement_schur(dim)
-    e = np.zeros((dim, dim))
-    i = 0
-    while i < dim:
-        if i + 1 < dim and abs(t[i + 1, i]) > 1e-12:
-            c = math.cos(alpha * t[i, i + 1])
-            s = math.sin(alpha * t[i, i + 1])
-            e[i, i] = c
-            e[i, i + 1] = s
-            e[i + 1, i] = -s
-            e[i + 1, i + 1] = c
-            i += 2
-        else:
-            e[i, i] = 1.0
-            i += 1
-    return q @ e @ q.T
-
-
-@lru_cache(maxsize=64)
-def _displaced_thermal(n_th: float, n_coh: float, dim: int) -> np.ndarray:
-    if n_th > 0:
-        ratio = n_th / (1.0 + n_th)
-        p_th = (1.0 - ratio) * ratio ** np.arange(dim)
-    else:
-        p_th = np.zeros(dim)
-        p_th[0] = 1.0
-    alpha = math.sqrt(n_coh)
-    if alpha == 0.0:
-        return p_th
-    disp = _displacement_matrix(alpha, dim)
-    return disp ** 2 @ p_th
-
-
-def _truncation_tail(pops: np.ndarray) -> float:
-    return float((1.0 - pops.sum()) + pops[-2:].sum())
+def _populations(n_th: float, n_coh: float, n_max: int | None,
+                 tail_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(p, dp/dn_th, dp/dn_coh) at the truncation that meets ``tail_tol``."""
+    # p_n = (1 - r) exp(-n_coh / a) q_n with a = 1 + n_th, r = n_th / a and
+    # q_n = r^n L_n(-n_coh / (n_th a)) (P. Marian & T. A. Marian, PRA 47,
+    # 4474 (1993)).  With y = n_coh / a^2 the Laguerre recurrence reads
+    #   (n + 1) q_{n+1} = (r (2n + 1) + y) q_n - n r^2 q_{n-1},
+    # which is Poisson at n_th = 0 and extends to a larger truncation.  q
+    # peaks near e^(n_coh / a): each time it passes 1e100 all of q is divided
+    # by 1e100 and log_scale keeps the factor.  The Laguerre identities
+    # dq_n/dr = n q_{n-1} and dq_n/dy = sum_{k<n} r^(n-1-k) q_k give the
+    # derivatives on the same scale.
+    if not (0 <= n_th < math.inf and 0 <= n_coh < math.inf):
+        raise ValidationError("n_th and n_coh must be finite and nonnegative")
+    if n_max is None and n_th + n_coh >= _MAX_DIM:
+        raise TruncationError(f"mean occupation beyond {_MAX_DIM} Fock states")
+    dim = _auto_dim(n_th, n_coh, tail_tol) if n_max is None else n_max + 1
+    a = 1.0 + n_th
+    r, y = n_th / a, n_coh / a ** 2
+    q, log_scale = [1.0, r + y], 0.0
+    while True:
+        for n in range(len(q) - 1, dim - 1):
+            q.append(((r * (2 * n + 1) + y) * q[n] - n * r * r * q[n - 1]) / (n + 1))
+            if q[-1] > 1e100:
+                q = [q_k * 1e-100 for q_k in q]
+                log_scale += 100.0 * math.log(10.0)
+        norm = math.exp(log_scale - n_coh / a) / a
+        p = norm * np.array(q[:dim])
+        tail = float((1.0 - p.sum()) + p[-2:].sum())
+        if tail <= tail_tol:
+            break
+        if n_max is not None or dim >= _MAX_DIM:
+            raise TruncationError(
+                f"truncation tail {tail:.2e} at {dim} Fock states exceeds "
+                f"{tail_tol:.0e}; increase n_max")
+        dim = min(2 * dim, _MAX_DIM)
+    q_y = [0.0]
+    for q_k in q[:dim - 1]:
+        q_y.append(r * q_y[-1] + q_k)
+    q, q_y = np.array(q[:dim]), np.array(q_y)
+    q_r = np.arange(dim) * np.concatenate([[0.0], q[:-1]])
+    # dr/dn_th = 1/a^2, dy/dn_th = -2 y/a, dy/dn_coh = 1/a^2; the prefactor
+    # norm = exp(-n_coh/a)/a has derivatives norm (n_coh/a - 1)/a and -norm/a.
+    return (p, (p * (n_coh / a - 1.0) + norm * (q_r / a - 2.0 * y * q_y)) / a,
+            (norm * q_y / a - p) / a)
 
 
 def displaced_thermal_populations(n_th: float, n_coh: float,
                                   n_max: int | None = None,
                                   tail_tol: float = 1e-6) -> np.ndarray:
-    """Fock populations of a displaced thermal state, numerically truncated.
+    """Fock populations p_0 .. p_{dim-1} of a displaced thermal state.
 
-    The thermal density matrix is displaced with |alpha|^2 = n_coh by exact
-    matrix exponentiation in a truncated Fock basis.  When ``n_max`` is given
-    and the tail exceeds ``tail_tol`` a TruncationError asks for a larger
-    basis; otherwise the truncation grows automatically.
+    The thermal state of mean occupation ``n_th`` displaced by |alpha|^2 =
+    ``n_coh`` has the closed form p_n = (1 - r) exp(-n_coh / (1 + n_th))
+    r^n L_n(-n_coh / (n_th (1 + n_th))), r = n_th / (1 + n_th), evaluated by
+    a forward Laguerre recurrence in O(dim).  When ``n_max`` is given and the
+    truncation tail exceeds ``tail_tol`` a TruncationError asks for a larger
+    basis; otherwise the truncation grows automatically, up to 4096 states.
     """
-    if n_th < 0 or n_coh < 0:
-        raise ValidationError("n_th and n_coh must be nonnegative")
-    if n_max is not None:
-        pops = _displaced_thermal(n_th, n_coh, n_max + 1)
-        if _truncation_tail(pops) > tail_tol:
-            raise TruncationError(
-                f"truncation tail {_truncation_tail(pops):.2e} exceeds "
-                f"{tail_tol:.0e}; increase n_max")
-        return pops.copy()
-    dim = _auto_dim(n_th, n_coh, tail_tol)
-    while True:
-        pops = _displaced_thermal(n_th, n_coh, dim)
-        if _truncation_tail(pops) <= tail_tol:
-            return pops.copy()
-        dim = _grow_dim(dim)
-
-
-# Truncation sizes are bucketed to powers of two so repeated fits reuse the
-# cached eigendecomposition instead of paying O(dim^3) per distinct size.
-_DIM_BUCKETS = (64, 128, 192, 256, 320, 384, 448, 512, 640, 768, 896,
-                1024, 1536, 2048, 3072, 4096)
+    return _populations(n_th, n_coh, n_max, tail_tol)[0]
 
 
 def _auto_dim(n_th: float, n_coh: float, tail_tol: float) -> int:
@@ -324,17 +301,10 @@ def _auto_dim(n_th: float, n_coh: float, tail_tol: float) -> int:
     else:
         n_tail = 25.0
     base = n_tail + n_coh + 8.0 * math.sqrt(n_coh + 1.0) + 10.0
-    for d in _DIM_BUCKETS:
-        if d >= base:
-            return d
-    return _DIM_BUCKETS[-1]
-
-
-def _grow_dim(dim: int) -> int:
-    for d in _DIM_BUCKETS:
-        if d > dim:
-            return d
-    raise TruncationError(f"cannot truncate beyond {dim} Fock states")
+    # Round up to a quarter of the enclosing power of two, 64 at least: never
+    # below the old bucket sizes, as a tighter truncation biased the cold n_coh.
+    step = max(64, 2 ** (math.floor(math.log2(base)) - 2))
+    return min(_MAX_DIM, step * math.ceil(base / step))
 
 
 def sideband_rabi_signal(occ: MotionalOccupation, times_us,
@@ -345,28 +315,56 @@ def sideband_rabi_signal(occ: MotionalOccupation, times_us,
     distribution, flopping at Omega_n = Omega * eta * sqrt(n + 1).
     """
     times_s = np.asarray(times_us, dtype=float) * 1e-6
-    pops = displaced_thermal_populations(occ.n_th, occ.n_coh,
-                                         tail_tol=tail_tol)
+    pops = displaced_thermal_populations(occ.n_th, occ.n_coh, tail_tol=tail_tol)
     omega_n = occ.rabi_omega * occ.eta * np.sqrt(np.arange(len(pops)) + 1.0)
-    return 2.0 * np.sin(0.5 * np.outer(times_s, omega_n)) ** 2 @ pops
+    flop = np.outer(times_s, 0.5 * omega_n)
+    return 2.0 * (np.square(np.sin(flop, out=flop), out=flop) @ pops)
+
+
+def _sideband_jacobian(params: np.ndarray, times_s: np.ndarray, eta: float,
+                       tail_tol: float) -> np.ndarray:
+    """d sideband_rabi_signal / d(Omega, n_th, n_coh), one row per time."""
+    omega, n_th, n_coh = params
+    pops, d_th, d_coh = _populations(n_th, n_coh, None, tail_tol)
+    # d/dOmega 2 sin^2(x/2) = sin(x) rate t; x = Omega rate t, rate = eta sqrt(n+1)
+    rate = eta * np.sqrt(np.arange(len(pops)) + 1.0)
+    half = np.outer(times_s, 0.5 * omega * rate)
+    d_omega = times_s * (np.sin(2.0 * half) @ (rate * pops))
+    flop = np.square(np.sin(half, out=half), out=half)
+    return np.column_stack([d_omega, 2.0 * (flop @ np.stack([d_th, d_coh], 1))])
+
+
+def _lombscargle(t: np.ndarray, y: np.ndarray,
+                 angular_freqs: np.ndarray) -> np.ndarray:
+    # The default path of scipy.signal.lombscargle (SciPy 1.17: unit weights,
+    # floating_mean=False, normalize="power"), operation for operation, so
+    # its argmax is the same without importing scipy.signal.
+    w = np.full((1, len(t)), 1.0 / len(t))
+    wt = angular_freqs.reshape(1, -1) * t.reshape(-1, 1)
+    cos, sin = np.cos(wt), np.sin(wt)
+    cc, cs = np.dot(w, cos * cos), np.dot(w, cos * sin)
+    wt -= 0.5 * np.arctan2(2.0 * cs, cc - (1.0 - cc))  # tau
+    cos, sin = np.cos(wt), np.sin(wt)
+    yc, ys = np.dot(w * y, cos), np.dot(w * y, sin)
+    cc = np.dot(w, cos * cos)
+    cc, ss = (np.maximum(v, np.finfo(float).epsneg) for v in (cc, 1.0 - cc))
+    return np.squeeze(2.0 * (yc / cc * yc + ys / ss * ys)) * (len(t) / 4.0)
 
 
 def fit_heating(times_us, signals, eta: float = 0.039,
                 n_starts: int = 5) -> tuple[MotionalOccupation, np.ndarray]:
     """Fit (Omega, n_th, n_coh) to a sideband Rabi curve.
 
-    Multi-start bounded least squares; the best start by residual wins, ties
-    broken by lowest start index.  Returns the occupation and the 3x3
-    parameter covariance estimated from the Jacobian at the optimum.
+    Multi-start bounded least squares, analytic Jacobian; the best start by
+    residual wins, ties broken by lowest start index.  Returns the occupation
+    and the 3x3 parameter covariance estimated from the Jacobian at the optimum.
     """
-    # scipy.signal takes about half of the package's import time and only
-    # this function uses it, so it is imported here rather than at the top.
-    import scipy.signal
-
     times_us = np.asarray(times_us, dtype=float)
     signals = np.asarray(signals, dtype=float)
     if len(times_us) < 8:
         raise ValidationError("need at least 8 time points")
+    if not (np.all(np.isfinite(times_us)) and np.all(np.isfinite(signals))):
+        raise ValidationError("times and signals must be finite")
     if np.ptp(signals) < 1e-9:
         raise FitError("flat sideband signal; occupation unidentifiable")
 
@@ -378,8 +376,7 @@ def fit_heating(times_us, signals, eta: float = 0.039,
     span = float(t_s.max() - t_s.min())
     dt = float(np.median(np.diff(np.sort(t_s))))
     freqs = np.linspace(0.25 / span, 0.5 / dt, 512)
-    pgram = scipy.signal.lombscargle(t_s, signals - signals.mean(),
-                                     2.0 * math.pi * freqs)
+    pgram = _lombscargle(t_s, signals - signals.mean(), 2.0 * math.pi * freqs)
     f_dom = float(freqs[int(np.argmax(pgram))])
 
     start_ns = [(0.3, 0.1), (2.0, 0.5), (6.0, 0.5), (3.0, 8.0),
@@ -401,10 +398,11 @@ def fit_heating(times_us, signals, eta: float = 0.039,
         try:
             sol = scipy.optimize.least_squares(
                 residuals, x0=np.array([omega0, n_th0, n_coh0]),
+                jac=lambda params: _sideband_jacobian(params, t_s, eta, 1e-4),
                 bounds=([0.0, 0.0, 0.0], [omega_hi, 50.0, 50.0]),
                 x_scale=[0.05 * omega0, 1.0, 1.0], xtol=1e-8, ftol=1e-8,
                 max_nfev=80)
-        except Exception:
+        except (ValueError, np.linalg.LinAlgError):
             continue
         cost = float(sol.cost)
         if sol.success and (best is None or cost < best[0] - 1e-15):

@@ -387,6 +387,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise InputError(f"--seed must be nonnegative, got {args.seed}")
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -129,6 +129,10 @@ class ProcessSpec:
     def __post_init__(self):
         if self.label not in ("identity", "delay", "ms", "ms_plus"):
             raise ValidationError(f"unknown process label {self.label!r}")
+        for name in ("theta", "duration_us"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, "
+                                      f"got {getattr(self, name)}")
 
     @classmethod
     def identity(cls) -> "ProcessSpec":
@@ -474,6 +478,8 @@ def generate_dataset(plan: ExperimentPlan, process: ProcessSpec,
     bright ions when its readout draw u < p2, 1 when u < p2 + p1 with
     p1 = max(0, 1 - p2 - p0), and 0 otherwise.
     """
+    if seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed}")
     shots = plan.shots_per_sequence
     n2 = np.zeros(plan.n_sequences)
     n1 = np.zeros(plan.n_sequences)

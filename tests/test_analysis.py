@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ionqpt import analysis
 from ionqpt.analysis import (
     FitError,
     MotionalOccupation,
@@ -150,6 +151,73 @@ def test_truncation_error_raised():
 def test_populations_validation():
     with pytest.raises(ValidationError):
         displaced_thermal_populations(-1.0, 0.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError):
+            displaced_thermal_populations(bad, 0.0)
+        with pytest.raises(ValidationError):
+            displaced_thermal_populations(1.0, bad)
+
+
+def _expm_populations(n_th, n_coh, dim):
+    # Test-only reference: displace the truncated thermal state by the matrix
+    # exponential of alpha (a^dag - a).
+    import scipy.linalg
+
+    a = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
+    disp = scipy.linalg.expm(math.sqrt(n_coh) * (a.T - a))
+    r = n_th / (1.0 + n_th)
+    return disp ** 2 @ ((1.0 - r) * r ** np.arange(dim))
+
+
+@pytest.mark.parametrize("n_th,n_coh", [
+    (5.5, 0.4), (3.5, 0.1), (32.0, 22.0), (0.0, 2.0), (40.0, 25.0),
+    (1e-4, 3.0),
+])
+def test_closed_form_matches_matrix_exponential(n_th, n_coh):
+    # The reference is exact for n well below its truncation, so compare
+    # the first 384 of 768 populations.
+    ref = _expm_populations(n_th, n_coh, 768)[:384]
+    pops = displaced_thermal_populations(n_th, n_coh, tail_tol=1e-6)
+    n = min(len(pops), 384)
+    np.testing.assert_allclose(pops[:n], ref[:n], rtol=0, atol=1e-12)
+    assert np.all(ref[n:] < 1e-6)
+
+
+def _log_sum_populations(n_th, n_coh, ns):
+    # Test-only reference for large displacements: L_n(-x) = sum_k C(n, k)
+    # x^k / k! has only positive terms, so it is summed in log space.
+    from scipy.special import gammaln, logsumexp
+
+    if n_th == 0.0:
+        return np.exp(ns * math.log(n_coh) - n_coh - gammaln(ns + 1.0))
+    a = 1.0 + n_th
+    r, x = n_th / a, n_coh / (n_th * a)
+    out = []
+    for n in ns:
+        k = np.arange(n + 1.0)
+        terms = (gammaln(n + 1.0) - gammaln(n - k + 1.0)
+                 - 2.0 * gammaln(k + 1.0) + k * math.log(x))
+        out.append(math.log(1.0 - r) - n_coh / a + n * math.log(r)
+                   + logsumexp(terms))
+    return np.exp(out)
+
+
+@pytest.mark.parametrize("n_th,n_coh", [(0.0, 800.0), (2.0, 3000.0),
+                                        (0.0, 3500.0)])
+def test_closed_form_holds_at_large_displacement(n_th, n_coh):
+    # q_n grows like e^(n_coh / (1 + n_th)), past the float range here.
+    pops = displaced_thermal_populations(n_th, n_coh)
+    assert np.all(np.isfinite(pops))
+    assert pops.sum() == pytest.approx(1.0, abs=1e-6)
+    ns = np.arange(0, len(pops), 7)
+    ref = _log_sum_populations(n_th, n_coh, ns)
+    np.testing.assert_allclose(pops[ns], ref, rtol=1e-9, atol=1e-13)
+
+
+def test_mean_beyond_largest_truncation_raises():
+    for n_th, n_coh in [(0.0, 5000.0), (0.0, 1e300), (1e300, 0.0)]:
+        with pytest.raises(TruncationError):
+            displaced_thermal_populations(n_th, n_coh)
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +267,76 @@ def test_fit_heating_rejects_degenerate_input():
         fit_heating(np.linspace(1, 100, 20), np.full(20, 0.7))
     with pytest.raises(ValidationError):
         fit_heating([1.0, 2.0, 3.0], [0.1, 0.2, 0.3])
+
+
+def test_fit_heating_rejects_non_finite_input():
+    t = np.linspace(2.0, 600.0, 40)
+    y = 1.0 - np.cos(0.05 * t)
+    for i, bad in ((0, float("nan")), (7, float("nan")), (39, float("inf"))):
+        bad_t, bad_y = t.copy(), y.copy()
+        bad_t[i] = bad_y[i] = bad
+        for args in ((bad_t, y), (t, bad_y)):
+            with pytest.raises(ValidationError):
+                fit_heating(*args)
+
+
+def test_fit_heating_lets_model_errors_through(monkeypatch):
+    # A fault in the model or its Jacobian is a bug, not a failed start.
+    def broken(*args):
+        raise ZeroDivisionError("broken Jacobian")
+
+    monkeypatch.setattr(analysis, "_sideband_jacobian", broken)
+    t = np.linspace(2.0, 600.0, 60)
+    occ = MotionalOccupation(n_th=3.5, n_coh=0.1,
+                             rabi_omega=2 * math.pi * 250e3, eta=0.039)
+    with pytest.raises(ZeroDivisionError):
+        fit_heating(t, sideband_rabi_signal(occ, t))
+
+
+@pytest.mark.parametrize("n_th,n_coh,omega_factor", [
+    (5.5, 0.4, 1.0), (32.0, 22.0, 0.97), (0.3, 3.0, 1.02),
+])
+def test_sideband_jacobian_matches_central_differences(n_th, n_coh,
+                                                       omega_factor):
+    t_us = np.linspace(2.0, 600.0, 150)
+    params = np.array([2 * math.pi * 250e3 * omega_factor, n_th, n_coh])
+
+    def signal(p):
+        occ = MotionalOccupation(n_th=p[1], n_coh=p[2], rabi_omega=p[0],
+                                 eta=0.039)
+        return sideband_rabi_signal(occ, t_us, tail_tol=1e-4)
+
+    jac = analysis._sideband_jacobian(params, t_us * 1e-6, 0.039, 1e-4)
+    # Steps near cbrt(machine epsilon) in each parameter's own scale.
+    for k, h in enumerate(1e-5 * np.maximum(params, 1.0)):
+        step = np.zeros(3)
+        step[k] = h
+        fd = (signal(params + step) - signal(params - step)) / (2 * h)
+        err = np.linalg.norm(jac[:, k] - fd) / np.linalg.norm(fd)
+        assert err < 1e-6, (k, err)
+
+
+def test_periodogram_matches_scipy_lombscargle():
+    import scipy.signal
+
+    # An irregular random scan and criterion 9's three sideband scans.
+    rng = np.random.default_rng(5)
+    scans = [(np.sort(rng.uniform(0.0, 1e-3, 300)), rng.standard_normal(300))]
+    times_us = np.linspace(2.0, 600.0, 1200)
+    for n_th, n_coh, seed in [(5.5, 0.4, 142), (3.5, 0.1, 273),
+                              (32.0, 22.0, 2)]:
+        occ = MotionalOccupation(n_th=n_th, n_coh=n_coh,
+                                 rabi_omega=2 * math.pi * 250e3, eta=0.039)
+        noise = 0.02 * np.random.default_rng(seed).standard_normal(1200)
+        scans.append((times_us * 1e-6,
+                      sideband_rabi_signal(occ, times_us) + noise))
+    for t_s, y in scans:
+        w = 2 * math.pi * np.linspace(0.25 / np.ptp(t_s),
+                                      0.5 / np.median(np.diff(t_s)), 512)
+        ours = analysis._lombscargle(t_s, y - y.mean(), w)
+        ref = scipy.signal.lombscargle(t_s, y - y.mean(), w)
+        np.testing.assert_allclose(ours, ref, rtol=1e-12, atol=0)
+        assert np.argmax(ours) == np.argmax(ref)
 
 
 def test_motional_occupation_validation():

@@ -81,6 +81,35 @@ def test_simulate_out_of_range_noise_exit_2(tmp_path, capsys, field, value):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--theta", "nan"),
+    ("--theta", "inf"),
+    ("--seed", "-1"),
+])
+def test_simulate_bad_theta_or_seed_exit_2(tmp_path, capsys, flag, value):
+    argv = {"--theta": "1.04", "--seed": "1"}
+    argv[flag] = value
+    out = str(tmp_path / "ds.json")
+    assert run("simulate", "--process", "ms_plus", "--theta", argv["--theta"],
+               "--noise", "none", "--shots", "2", "--seed", argv["--seed"],
+               "-o", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [
+    ["bell", "--process", "ms"],
+    ["ramsey", "--delays", "20,60", "--shots", "10"],
+])
+def test_negative_seed_exit_2(tmp_path, capsys, command):
+    out = str(tmp_path / "out")
+    assert run(*command, "--seed", "-3", "-o", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # reconstruct
 # ---------------------------------------------------------------------------
@@ -259,6 +288,20 @@ def test_heating_round_trip(tmp_path):
     doc = json.load(open(out))
     assert abs(doc["n_th"] - 3.5) / 3.5 < 0.1
     assert abs(doc["n_coh"] - 0.1) / 0.1 < 0.1
+
+
+def test_heating_nan_row_exit_2(tmp_path, capsys):
+    t = np.linspace(2.0, 600.0, 40)
+    y = 1.0 - np.cos(0.05 * t)
+    y[11] = float("nan")
+    csv_path = str(tmp_path / "sb.csv")
+    with open(csv_path, "w") as fh:
+        fh.write("time_us,signal\n")
+        fh.writelines(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(t, y))
+    assert run("heating", csv_path, "-o", str(tmp_path / "h.json")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
 
 
 def test_heating_missing_file_exit_2(tmp_path):

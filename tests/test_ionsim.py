@@ -75,6 +75,11 @@ def test_process_spec():
     assert ProcessSpec.ms_plus().theta == 1.04
     with pytest.raises(ValidationError):
         ProcessSpec("squeeze")
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValidationError):
+            ProcessSpec.ms_plus(theta=bad)
+        with pytest.raises(ValidationError):
+            ProcessSpec.delay(duration_us=bad)
     np.testing.assert_allclose(ProcessSpec.identity().ideal_unitary(),
                                np.eye(4), atol=1e-15)
     u = ms.ideal_unitary()
@@ -187,6 +192,8 @@ def test_generate_dataset_deterministic_and_noiseless_corners():
     assert ds1.n2[0] == 40
     assert ds1.n2[16 * 5] == 0
     assert np.all(ds1.n2 + ds1.n1 + ds1.n0 == 40)
+    with pytest.raises(ValidationError):
+        generate_dataset(plan, proc, NoiseModel.none(), seed=-1)
 
 
 def test_noiseless_frequencies_track_forward_model():
