@@ -34,8 +34,9 @@ def reconstruct(process, noise):
     print(f"{process.label:>8}: simulated {SHOTS * 256} shots in {t_sim:.0f}s; "
           f"raw inversion min eigenvalue {inv_diag.min_eigenvalue:+.4f} "
           f"({'unphysical' if not inv_diag.physical else 'physical'})")
-    print(f"{'':>8}  MLE converged after {result.iterations} iterations "
-          f"({t_mle:.0f}s): process error {100 * err:.2f}%")
+    print(f"{'':>8}  MLE stopped on {result.stop_reason} after "
+          f"{result.iterations} iterations (duality gap {result.gap:.1e}, "
+          f"{t_mle:.1f}s): process error {100 * err:.2f}%")
     return err
 
 

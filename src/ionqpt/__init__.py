@@ -44,7 +44,6 @@ from .ionsim import (
     NoiseModel,
     ProcessSpec,
     ShotDataset,
-    composite_rotation,
     dataset_from_probabilities,
     generate_dataset,
     plan_for_process,

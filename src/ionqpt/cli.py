@@ -3,8 +3,9 @@
 Subcommands are pure file-to-file transforms (simulate / reconstruct / report /
 bell / ramsey / heating) with no implicit state between invocations; identical
 inputs and seed produce byte-identical outputs.  Exit codes: 0 success,
-1 analysis warning (e.g. non-converged MLE), 2 input error.  The QPT_THREADS
-environment variable caps internal parallelism of the library modules.
+1 analysis warning (e.g. MLE gap above tolerance at the iteration budget),
+2 input error.  The QPT_THREADS environment variable caps internal
+parallelism of the library modules.
 """
 from __future__ import annotations
 
@@ -146,17 +147,21 @@ def cmd_reconstruct(args) -> int:
     sidecar = args.output + ".diagnostics.json"
     status = EXIT_OK
     if args.method == "mle":
-        chi, result = mle_reconstruct(dataset, MleConfig(
-            max_iterations=args.max_iterations))
+        config = MleConfig(max_iterations=args.max_iterations)
+        chi, result = mle_reconstruct(dataset, config)
         diag = {
             "method": "mle",
             "iterations": result.iterations,
             "converged": result.converged,
+            "stop_reason": result.stop_reason,
+            "gap": result.gap,
+            "gap_tolerance": config.gap_tolerance,
             "final_log_likelihood": result.final_log_likelihood,
         }
         if not result.converged:
-            print("warning: MLE did not converge within "
-                  f"{args.max_iterations} iterations", file=sys.stderr)
+            print(f"warning: MLE did not converge: duality gap {result.gap:.3g} "
+                  f"> tolerance {config.gap_tolerance:g} after "
+                  f"{result.iterations} iterations", file=sys.stderr)
             status = EXIT_WARNING
     else:
         chi, li = linear_inversion(dataset)

@@ -33,7 +33,6 @@ from .protocol import (
     RotationSetting,
     TimingModel,
     build_plan,
-    rotation_unitary,
     timing_from_dict,
     timing_to_dict,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "NoiseModel",
     "ProcessSpec",
     "ShotDataset",
-    "composite_rotation",
     "sample_trajectory",
     "generate_dataset",
     "dataset_from_probabilities",
@@ -103,12 +101,6 @@ class NoiseModel:
     def fast_freq_gaussian_sigma_hz(self) -> float:
         """Standard deviation of the per-shot frequency draw (FWHM/2.355)."""
         return self.fast_freq_sigma_hz * FWHM_TO_SIGMA
-
-    @property
-    def is_shot_deterministic(self) -> bool:
-        """True when per-shot randomness is absent (drift alone is per-sequence)."""
-        return (self.fast_freq_sigma_hz == 0.0
-                and self.phase_diffusion_rad_per_sqrt_us == 0.0)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -209,25 +201,6 @@ def _block_pulse_params(target_ion: int, total_theta: float, total_phi: float,
                 (half, phi + phi_p, phi + phi_p + math.pi + scal)]
     return [(half, phi, phi),
             (half, phi + math.pi + phi_p, phi + phi_p + scal)]
-
-
-def composite_rotation(target_ion: int, total_theta: float, total_phi: float,
-                       noise: NoiseModel | None = None,
-                       phase_offsets: tuple[float, float] = (0.0, 0.0)) -> np.ndarray:
-    """Two-qubit unitary of one composite-addressed rotation block.
-
-    ``phase_offsets`` are the accrued laser-phase deviations at the two pulse
-    times (common to both ions).  With zero noise the block acts as
-    R(total_theta, total_phi) on the target ion and the identity on the other.
-    """
-    noise = noise or NoiseModel.none()
-    u = _I4
-    for (theta, p1, p2), off in zip(
-            _block_pulse_params(target_ion, total_theta, total_phi, noise),
-            phase_offsets):
-        u = np.kron(rotation_unitary(theta, p1 + off),
-                    rotation_unitary(theta, p2 + off)) @ u
-    return u
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,12 @@ k = 16*(4*p1 + p2) + (4*m1 + m2).
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .process import ProcessMatrix, atomic_write_text
+from .process import ProcessMatrix
 from .qmath import ValidationError, two_qubit_pauli_basis
 
 __all__ = [
@@ -35,8 +34,6 @@ __all__ = [
     "effect_matrix",
     "hermitian_dof_basis",
     "inversion_map",
-    "plan_to_json_dict",
-    "plan_from_json_dict",
 ]
 
 _P = two_qubit_pauli_basis()
@@ -336,40 +333,3 @@ def timing_to_dict(t: TimingModel) -> dict:
 
 def timing_from_dict(d: dict) -> TimingModel:
     return TimingModel(**d)
-
-
-def plan_to_json_dict(plan: ExperimentPlan) -> dict:
-    return {
-        "shots_per_sequence": plan.shots_per_sequence,
-        "timing": timing_to_dict(plan.timing),
-        "sequences": [
-            {
-                "k": s.k,
-                "prep": [s.prep[0].code, s.prep[1].code],
-                "meas": [s.meas[0].code, s.meas[1].code],
-                "start_time_s": s.start_time_s,
-            }
-            for s in plan.sequences
-        ],
-    }
-
-
-def plan_from_json_dict(doc: dict) -> ExperimentPlan:
-    sequences = tuple(
-        SequenceRecord(
-            k=int(s["k"]),
-            prep=(RotationSetting.from_code(s["prep"][0]),
-                  RotationSetting.from_code(s["prep"][1])),
-            meas=(RotationSetting.from_code(s["meas"][0]),
-                  RotationSetting.from_code(s["meas"][1])),
-            start_time_s=float(s["start_time_s"]),
-        )
-        for s in doc["sequences"]
-    )
-    return ExperimentPlan(sequences=sequences,
-                          shots_per_sequence=int(doc["shots_per_sequence"]),
-                          timing=timing_from_dict(doc["timing"]))
-
-
-def save_plan(path: str, plan: ExperimentPlan) -> None:
-    atomic_write_text(path, json.dumps(plan_to_json_dict(plan)))

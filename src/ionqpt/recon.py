@@ -5,17 +5,25 @@ fast but can return unphysical (non-PSD) matrices when the data are noisy.
 ``mle_reconstruct`` maximizes the per-sequence binomial likelihood of the
 both-bright counts over CPTP maps, parameterized by the Choi matrix J, with
 the diluted fixed-point iteration of Jezek, Fiurasek & Hradil, PRA 68, 012305
-(2003): J <- Lambda^-1 R_d J R_d Lambda^-1, where R_d mixes the likelihood
-gradient operator R with the identity for stability and
+(2003): J <- Lambda^-1 R_d J R_d Lambda^-1, where R_d = (1 - d) I + d R_hat
+mixes the scaled likelihood gradient operator R with the identity and
 Lambda = (Tr_out[R_d J R_d])^(1/2) (x) I enforces trace preservation each
 step.  Only P2 enters the likelihood; P1/P0 counts are ignored by design.
 
+The dilution d adapts as in Rehacek, Hradil, Knill & Lvovsky, PRA 75, 042108
+(2007): it starts at ``MleConfig.dilution`` and grows x1.1, up to 1, after
+each step that raises log L; a larger trial that would lower log L is
+dropped for the step at the base dilution.  Every 10 iterations the solve
+checks the duality gap 4 lambda_max(R - Lambda_0 (x) I), Lambda_0 =
+herm Tr_out(R J).  log L is concave and Tr(R J') <= Tr Lambda for every CPTP
+J' once Lambda (x) I >= R, so the gap bounds log L* - log L(J) over all CPTP
+maps; the solve stops once it is at most ``MleConfig.gap_tolerance``.
+
 Both halves of an iteration read the plan's cached effect matrix E, whose
 row k is vec(rho_k^T (x) M_k) (``protocol.effect_matrix``, kept as a real
-matrix F).  The probabilities p_k = Tr(J E_k) are one matrix-vector product
-of F with the real view of vec J.  With w = n2/p - n_other/(1-p) and
-b = n_other/(1-p), the gradient operator is
-R = sum_k w_k E_k + (sum_k b_k rho_k^T) (x) I, because the effect of the
+matrix F).  p_k = Tr(J E_k) is one product of F with the real view of vec J.
+With w = n2/p - n_other/(1-p) and b = n_other/(1-p), the gradient operator
+is R = sum_k w_k E_k + (sum_k b_k rho_k^T) (x) I, because the effect of the
 other outcomes is rho_k^T (x) I - E_k: one product w @ F plus a 16-term sum.
 """
 from __future__ import annotations
@@ -63,15 +71,15 @@ class MleConfig:
     stopping rules and stabilization unspecified; these are our choices)."""
 
     max_iterations: int = 20000
-    log_likelihood_tolerance: float = 1e-10
+    gap_tolerance: float = 1e-3  # nats
     dilution: float = 0.5
     epsilon_probability_floor: float = 1e-12
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValidationError("max_iterations must be >= 1")
-        if self.log_likelihood_tolerance <= 0:
-            raise ValidationError("log_likelihood_tolerance must be > 0")
+        if not (0.0 < self.gap_tolerance < math.inf):
+            raise ValidationError("gap_tolerance must be finite and > 0")
         if not (0.0 < self.dilution <= 1.0):
             raise ValidationError("dilution must be in (0, 1]")
         if not (0.0 < self.epsilon_probability_floor < 0.5):
@@ -82,7 +90,12 @@ class MleConfig:
 class MleResult:
     iterations: int
     log_likelihoods: np.ndarray
-    converged: bool
+    gap: float  # duality bound on log L* - log L of the returned J
+    stop_reason: str  # "gap" (certified) or "budget"
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "gap"
 
     @property
     def final_log_likelihood(self) -> float:
@@ -127,6 +140,14 @@ def linear_inversion(dataset: ShotDataset
 
 
 _EYE4 = np.eye(4)
+_EYE16 = np.eye(16)
+# Adaptive dilution: after each step that raises log L the dilution grows by
+# this factor, up to the cap; a larger trial that lowers log L is replaced by
+# the step at MleConfig.dilution, from where the growth starts again.  With
+# d <= 1, R_d = (1 - d) I + d R_hat is a convex mix of two PSD operators.
+_DILUTION_GROWTH = 1.1
+_DILUTION_CAP = 1.0
+_GAP_CHECK_EVERY = 10
 
 
 def _kron_eye4(m: np.ndarray) -> np.ndarray:
@@ -144,53 +165,83 @@ def _psd_sqrt_inv(m: np.ndarray) -> np.ndarray:
     return (v / np.sqrt(w)) @ v.conj().T
 
 
-def _mle_choi(dataset: ShotDataset, config: MleConfig
-              ) -> tuple[np.ndarray, list[float], bool]:
-    """Run the iteration; returns the last Choi matrix J, the log-likelihood
-    of every iterate before it, and whether the stop rule was met."""
-    plan = dataset.plan
-    shots = plan.shots_per_sequence
+def _dilute_step(j: np.ndarray, r_hat: np.ndarray, d: float) -> np.ndarray:
+    """One step from J at dilution d, R_hat being the scaled gradient."""
+    r_d = (1.0 - d) * _EYE16 + d * r_hat
+    g = r_d @ j @ r_d
+    lam_inv = _kron_eye4(_psd_sqrt_inv(_partial_trace_out(g)))
+    j = lam_inv @ g @ lam_inv
+    return 0.5 * (j + j.conj().T)
+
+
+def _duality_gap(r: np.ndarray, j: np.ndarray) -> float:
+    """4 lambda_max(R - Lambda_0 (x) I) with Lambda_0 = herm Tr_out(R J)."""
+    lam0 = _partial_trace_out(r @ j)
+    lam0 = 0.5 * (lam0 + lam0.conj().T)
+    return 4.0 * float(np.linalg.eigvalsh(r - _kron_eye4(lam0))[-1])
+
+
+def _likelihood(dataset: ShotDataset, eps: float):
+    """The dataset's ``evaluate(J) -> (p, log L)`` and ``gradient(p) -> R``."""
+    shots = dataset.plan.shots_per_sequence
     n2 = dataset.n2
     n_other = shots - n2
-    total = float(shots * plan.n_sequences)
-    forward, rho_t = effect_matrix(plan)
-    eps = config.epsilon_probability_floor
-    d = config.dilution
-    eye16 = np.eye(16, dtype=complex)
+    forward, rho_t = effect_matrix(dataset.plan)
 
-    j = eye16 / 4.0  # maximally mixed channel, trivially CPTP
-    log_ls: list[float] = []
-    converged = False
-    for _ in range(config.max_iterations):
+    def evaluate(j: np.ndarray) -> tuple[np.ndarray, float]:
         # j is C-contiguous complex, so its float view is vec J with Re and
         # Im interleaved, the column order of ``forward``.
-        p = forward @ j.view(float).ravel()
-        p = np.clip(p, eps, 1.0 - eps)
-        log_l = float(n2 @ np.log(p) + n_other @ np.log1p(-p))
-        if log_ls and abs(log_l - log_ls[-1]) < config.log_likelihood_tolerance:
-            log_ls.append(log_l)
-            converged = True
-            break
-        log_ls.append(log_l)
+        p = np.clip(forward @ j.view(float).ravel(), eps, 1.0 - eps)
+        return p, float(n2 @ np.log(p) + n_other @ np.log1p(-p))
+
+    def gradient(p: np.ndarray) -> np.ndarray:
         b = n_other / (1.0 - p)
-        r = (((n2 / p - b) @ forward).view(complex).reshape(16, 16)
-             + _kron_eye4((b @ rho_t).reshape(4, 4)))
-        # Balance scales so that Tr(R_hat J) = Tr(I J) = 4 at the current J.
-        r_d = (1.0 - d) * eye16 + d * (4.0 / total) * r
-        g = r_d @ j @ r_d
-        lam_inv = _kron_eye4(_psd_sqrt_inv(_partial_trace_out(g)))
-        j = lam_inv @ g @ lam_inv
-        j = 0.5 * (j + j.conj().T)
-    return j, log_ls, converged
+        return (((n2 / p - b) @ forward).view(complex).reshape(16, 16)
+                + _kron_eye4((b @ rho_t).reshape(4, 4)))
+
+    return evaluate, gradient
+
+
+def _mle_choi(dataset: ShotDataset, config: MleConfig
+              ) -> tuple[np.ndarray, list[float], float]:
+    """Run the iteration; returns the last Choi matrix J, the log-likelihood
+    of every accepted iterate up to and including J, and J's duality gap."""
+    evaluate, gradient = _likelihood(dataset, config.epsilon_probability_floor)
+    # Balance scales so that Tr(R_hat J) = Tr(I J) = 4 at the current J.
+    scale = 4.0 / (dataset.plan.shots_per_sequence * dataset.plan.n_sequences)
+    d = config.dilution
+    j = np.eye(16, dtype=complex) / 4.0  # maximally mixed, trivially CPTP
+    p, log_l = evaluate(j)
+    log_ls = [log_l]
+    while True:
+        r = gradient(p)
+        n = len(log_ls)
+        if n % _GAP_CHECK_EVERY == 0 or n == config.max_iterations:
+            gap = _duality_gap(r, j)
+            if gap <= config.gap_tolerance or n == config.max_iterations:
+                return j, log_ls, gap
+        r_hat = scale * r
+        trial = _dilute_step(j, r_hat, d)
+        p_trial, log_trial = evaluate(trial)
+        if log_trial < log_l and d > config.dilution:
+            d = config.dilution
+            trial = _dilute_step(j, r_hat, d)
+            p_trial, log_trial = evaluate(trial)
+        if log_trial > log_l:
+            d = min(d * _DILUTION_GROWTH, _DILUTION_CAP)
+        j, p, log_l = trial, p_trial, log_trial
+        log_ls.append(log_l)
 
 
 def mle_reconstruct(dataset: ShotDataset, config: MleConfig | None = None
                     ) -> tuple[ProcessMatrix, MleResult]:
     """CPTP maximum-likelihood chi for the dataset's both-bright counts."""
-    j, log_ls, converged = _mle_choi(dataset, config or MleConfig())
+    config = config or MleConfig()
+    j, log_ls, gap = _mle_choi(dataset, config)
     chi = project_to_physical(choi_to_chi(j))
     result = MleResult(iterations=len(log_ls), log_likelihoods=np.array(log_ls),
-                       converged=converged)
+                       gap=gap, stop_reason=("gap" if gap <= config.gap_tolerance
+                                             else "budget"))
     return ProcessMatrix(chi), result
 
 

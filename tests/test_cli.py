@@ -135,17 +135,24 @@ def test_reconstruct_inversion(small_dataset, tmp_path):
     assert diag["physical"] is False
 
 
-def test_reconstruct_mle_and_warning_exit(small_dataset, tmp_path):
+def test_reconstruct_mle_and_warning_exit(small_dataset, tmp_path, capsys):
     out = str(tmp_path / "chi.json")
     assert run("reconstruct", small_dataset, "-o", out) == 0
     diag = json.load(open(out + ".diagnostics.json"))
     assert diag["method"] == "mle"
     assert diag["converged"] is True
+    assert diag["stop_reason"] == "gap"
+    assert 0.0 <= diag["gap"] <= diag["gap_tolerance"] == 1e-3
     # a tiny iteration budget cannot converge: exit code 1, file still written
     out2 = str(tmp_path / "chi2.json")
     assert run("reconstruct", small_dataset, "--max-iterations", "5",
                "-o", out2) == 1
-    assert json.load(open(out2 + ".diagnostics.json"))["converged"] is False
+    diag2 = json.load(open(out2 + ".diagnostics.json"))
+    assert diag2["converged"] is False
+    assert diag2["stop_reason"] == "budget"
+    assert diag2["gap"] > diag2["gap_tolerance"]
+    err = capsys.readouterr().err
+    assert f"duality gap {diag2['gap']:.3g} > tolerance 0.001" in err
 
 
 def test_reconstruct_missing_dataset_exit_2(tmp_path):

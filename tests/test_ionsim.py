@@ -9,7 +9,6 @@ from ionqpt.ionsim import (
     NoiseModel,
     ProcessSpec,
     ShotDataset,
-    composite_rotation,
     dataset_from_probabilities,
     generate_dataset,
     plan_for_process,
@@ -19,6 +18,7 @@ from ionqpt.ionsim import (
 )
 from ionqpt.ionsim import (
     _KIND_PULSE,
+    _block_pulse_params,
     _sequence_probabilities,
     _shot_rng,
     _shot_schedule,
@@ -29,7 +29,6 @@ from ionqpt.qmath import ValidationError
 
 def test_noise_model_factories():
     none = NoiseModel.none()
-    assert none.is_shot_deterministic
     assert none.drift_hz_per_min == 0.0
     paper = NoiseModel.paper_study()
     assert paper.phi_p_error_mrad == -145.0
@@ -38,7 +37,6 @@ def test_noise_model_factories():
     assert paper.fast_freq_sigma_hz == 300.0
     assert paper.phase_diffusion_rad_per_sqrt_us == 0.015
     drift = NoiseModel.drift_only()
-    assert drift.is_shot_deterministic
 
 
 def test_noise_model_fwhm_conversion():
@@ -87,28 +85,38 @@ def test_process_spec():
     assert ProcessSpec.from_dict(ms.to_dict()) == ms
 
 
+def _block_unitary(target_ion, theta, phi, noise=None):
+    """Two-qubit unitary of one composite block, built with np.kron from the
+    simulator's per-pulse parameters."""
+    u = np.eye(4, dtype=complex)
+    for half, p1, p2 in _block_pulse_params(target_ion, theta, phi,
+                                            noise or NoiseModel.none()):
+        u = np.kron(rotation_unitary(half, p1), rotation_unitary(half, p2)) @ u
+    return u
+
+
 def test_composite_rotation_noiseless_blocks():
     for theta, phi in [(math.pi, 0.0), (math.pi / 2, 0.0),
                        (math.pi / 2, math.pi / 2)]:
-        u1 = composite_rotation(1, theta, phi)
+        u1 = _block_unitary(1, theta, phi)
         np.testing.assert_allclose(
             u1, np.kron(rotation_unitary(theta, phi), np.eye(2)), atol=1e-12)
-        u2 = composite_rotation(2, theta, phi)
+        u2 = _block_unitary(2, theta, phi)
         np.testing.assert_allclose(
             u2, np.kron(np.eye(2), rotation_unitary(theta, phi)), atol=1e-12)
 
 
 def test_composite_rotation_validation():
     with pytest.raises(ValidationError):
-        composite_rotation(3, math.pi, 0.0)
+        _block_pulse_params(3, math.pi, 0.0, NoiseModel.none())
     with pytest.raises(ValidationError):
-        composite_rotation(1, 0.3, 0.0)
+        _block_pulse_params(1, 0.3, 0.0, NoiseModel.none())
 
 
 def test_composite_rotation_miscalibration_is_differential():
     noise = NoiseModel.paper_study()
-    u1 = composite_rotation(1, math.pi / 2, 0.0, noise=noise)
-    u2 = composite_rotation(2, math.pi / 2, 0.0, noise=noise)
+    u1 = _block_unitary(1, math.pi / 2, 0.0, noise=noise)
+    u2 = _block_unitary(2, math.pi / 2, 0.0, noise=noise)
     ideal1 = np.kron(rotation_unitary(math.pi / 2, 0.0), np.eye(2))
     ideal2 = np.kron(np.eye(2), rotation_unitary(math.pi / 2, 0.0))
     # both ions' blocks are perturbed, but ion 2 carries only the small

@@ -13,8 +13,6 @@ from ionqpt.protocol import (
     design_rank,
     hermitian_dof_basis,
     meas_operator,
-    plan_from_json_dict,
-    plan_to_json_dict,
     predict_p2,
     prep_state,
     rotation_unitary,
@@ -124,13 +122,6 @@ def test_design_matrix_and_rank():
     assert a.shape == (256, 256)
     assert a.dtype == float
     assert design_rank(plan) == 256
-
-
-def test_plan_json_roundtrip():
-    plan = build_plan(process_duration_us=120.0, shots=250)
-    doc = plan_to_json_dict(plan)
-    restored = plan_from_json_dict(doc)
-    assert restored == plan
 
 
 def test_plan_rejects_nonincreasing_times():

@@ -4,6 +4,7 @@ import pytest
 from ionqpt.ionsim import (
     NoiseModel,
     ProcessSpec,
+    ShotDataset,
     dataset_from_probabilities,
     generate_dataset,
     plan_for_process,
@@ -25,7 +26,8 @@ from ionqpt.qmath import ValidationError, two_qubit_pauli_basis
 from ionqpt.recon import (
     IdentifiabilityError,
     MleConfig,
-    _mle_choi,
+    _dilute_step,
+    _likelihood,
     bootstrap_fidelity,
     bootstrap_statistic,
     linear_inversion,
@@ -50,8 +52,9 @@ def ms_sampled_dataset():
 
 
 def test_mle_config_validation():
-    with pytest.raises(ValidationError):
-        MleConfig(log_likelihood_tolerance=0.0)
+    for tol in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValidationError):
+            MleConfig(gap_tolerance=tol)
     with pytest.raises(ValidationError):
         MleConfig(dilution=1.5)
     with pytest.raises(ValidationError):
@@ -117,12 +120,44 @@ def test_mle_iteration_budget(ms_sampled_dataset):
     _, result = mle_reconstruct(ms_sampled_dataset,
                                 MleConfig(max_iterations=5))
     assert not result.converged
+    assert result.stop_reason == "budget"
+    assert result.gap > MleConfig().gap_tolerance
     assert result.iterations == 5
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_duality_gap_bounds_the_likelihood_still_to_gain(seed):
+    # uniformly random counts, which no channel fits closely
+    proc = ProcessSpec.ms()
+    plan = plan_for_process(proc, shots=20)
+    rng = np.random.default_rng(seed)
+    ds = ShotDataset(plan=plan, noise=NoiseModel.none(), process=proc,
+                     seed=None, n2=rng.integers(0, 21, 256).astype(float))
+    _, long = mle_reconstruct(ds, MleConfig(gap_tolerance=1e-6))
+    assert long.stop_reason == "gap"
+    assert -1e-9 <= long.gap <= 1e-6
+    for budget in (1, 10, 100, 300):
+        _, short = mle_reconstruct(ds, MleConfig(max_iterations=budget))
+        assert short.gap >= -1e-9
+        assert short.gap >= (long.final_log_likelihood
+                             - short.final_log_likelihood - 1e-9)
+
+
+def test_noiseless_seed2_certifies_within_budget():
+    # the solve the |delta log L| rule left running to its budget
+    proc = ProcessSpec.ms()
+    ds = generate_dataset(plan_for_process(proc, shots=50), proc,
+                          NoiseModel.none(), seed=2)
+    _, result = mle_reconstruct(ds, MleConfig(max_iterations=5000))
+    assert result.stop_reason == "gap"
+    assert result.converged
+    assert result.iterations < 5000
+    assert result.gap <= MleConfig().gap_tolerance
 
 
 def test_bootstrap_determinism(ms_sampled_dataset):
     # a loose MLE budget keeps this about stream determinism, not convergence
-    config = MleConfig(max_iterations=200, log_likelihood_tolerance=1e-6)
+    config = MleConfig(max_iterations=200, gap_tolerance=1.0)
     stat = lambda chi: float(chi.chi[0, 0].real)
     a = bootstrap_statistic(ms_sampled_dataset, config, stat, replicas=3, seed=11)
     b = bootstrap_statistic(ms_sampled_dataset, config, stat, replicas=3, seed=11)
@@ -195,8 +230,9 @@ def test_effect_matrix_matches_design_tensor():
 
 def _einsum_mle_choi(dataset, config, steps):
     """The iteration as first written: the effect stacks of both outcomes
-    built with np.kron and contracted by einsum, run for a fixed number of
-    steps with no stop rule."""
+    built with np.kron and contracted by einsum, run at the base dilution for
+    a fixed number of steps with no stop rule.  Returns each iterate with its
+    p, log L and R, and the iterate after the last."""
     plan = dataset.plan
     rho, mop = sequence_operators(plan)
     eye4 = np.eye(4, dtype=complex)
@@ -210,13 +246,14 @@ def _einsum_mle_choi(dataset, config, steps):
     eps = config.epsilon_probability_floor
     d = config.dilution
     j = eye16 / 4.0
-    log_ls = []
+    trace = []
     for _ in range(steps):
         p = np.einsum("ab,kba->k", j, e_bright).real
         p = np.clip(p, eps, 1.0 - eps)
-        log_ls.append(float(n2 @ np.log(p) + n_other @ np.log1p(-p)))
+        log_l = float(n2 @ np.log(p) + n_other @ np.log1p(-p))
         r = (np.einsum("k,kab->ab", n2 / p, e_bright)
              + np.einsum("k,kab->ab", n_other / (1.0 - p), e_other))
+        trace.append((j, p, log_l, r))
         r_d = (1.0 - d) * eye16 + d * (4.0 / total) * r
         g = r_d @ j @ r_d
         t = np.einsum("iaja->ij", g.reshape(4, 4, 4, 4))
@@ -225,15 +262,24 @@ def _einsum_mle_choi(dataset, config, steps):
         lam_inv = np.kron((v / np.sqrt(w)) @ v.conj().T, eye4)
         j = lam_inv @ g @ lam_inv
         j = 0.5 * (j + j.conj().T)
-    return j, log_ls
+    return trace, j
 
 
 def test_mle_iteration_matches_einsum_reference(ms_sampled_dataset):
-    # a tolerance no step can meet makes both loops run exactly 200 steps
-    config = MleConfig(max_iterations=200, log_likelihood_tolerance=1e-300)
-    j, log_ls, converged = _mle_choi(ms_sampled_dataset, config)
-    j_ref, log_ls_ref = _einsum_mle_choi(ms_sampled_dataset, config, 200)
-    assert not converged
-    assert len(log_ls) == 200
-    np.testing.assert_allclose(j, j_ref, rtol=0, atol=1e-9)
-    np.testing.assert_allclose(log_ls, log_ls_ref, rtol=1e-12)
+    # every iterate of 200 reference steps: the kernel's p, log L and R at
+    # it, and its base-dilution step from it
+    config = MleConfig()
+    trace, j_last = _einsum_mle_choi(ms_sampled_dataset, config, 200)
+    evaluate, gradient = _likelihood(ms_sampled_dataset,
+                                     config.epsilon_probability_floor)
+    scale = 4.0 / (150.0 * 256)
+    next_refs = [t[0] for t in trace[1:]] + [j_last]
+    for (j_ref, p_ref, log_l_ref, r_ref), j_next_ref in zip(trace, next_refs):
+        p, log_l = evaluate(np.ascontiguousarray(j_ref))
+        np.testing.assert_allclose(p, p_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(log_l, log_l_ref, rtol=1e-12)
+        r = gradient(p)
+        np.testing.assert_allclose(r * scale, r_ref * scale, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(_dilute_step(j_ref, r * scale,
+                                                config.dilution),
+                                   j_next_ref, rtol=0, atol=1e-9)
