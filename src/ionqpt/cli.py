@@ -4,8 +4,7 @@ Subcommands are pure file-to-file transforms (simulate / reconstruct / report /
 bell / ramsey / heating) with no implicit state between invocations; identical
 inputs and seed produce byte-identical outputs.  Exit codes: 0 success,
 1 analysis warning (e.g. MLE gap above tolerance at the iteration budget),
-2 input error.  The QPT_THREADS environment variable caps internal
-parallelism of the library modules.
+2 input error.
 """
 from __future__ import annotations
 

@@ -5,17 +5,22 @@ Preparation and measurement settings are drawn from four rotations per ion
 collective detection of the both-bright probability P2.  Sequence order is
 lexicographic with the preparation pair outer and the measurement pair inner:
 k = 16*(4*p1 + p2) + (4*m1 + m2).
+
+The forward model is one real matrix, the effect matrix F of
+``effect_matrix``: P2 of sequence k is Tr(J E_k) for the Choi matrix J of
+the process and E_k = rho_k^T (x) M_k.  Prediction (``predict_p2``), linear
+inversion (``inversion_map``) and the MLE in ``recon`` all read F.
 """
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .process import ProcessMatrix
-from .qmath import ValidationError, two_qubit_pauli_basis
+from .process import ProcessMatrix, chi_to_choi
+from .qmath import ValidationError, hermiticity_deviation
 
 __all__ = [
     "RotationSetting",
@@ -28,15 +33,10 @@ __all__ = [
     "prep_state",
     "meas_operator",
     "predict_p2",
-    "design_tensor",
-    "design_matrix",
     "design_rank",
     "effect_matrix",
-    "hermitian_dof_basis",
     "inversion_map",
 ]
-
-_P = two_qubit_pauli_basis()
 
 KET_SS = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
 
@@ -53,13 +53,6 @@ class RotationSetting(enum.Enum):
         self.code = code
         self.theta = theta
         self.phi = phi
-
-    @classmethod
-    def from_code(cls, code: str) -> "RotationSetting":
-        for s in cls:
-            if s.code == code:
-                return s
-        raise ValidationError(f"unknown rotation code {code!r}")
 
 
 SETTINGS = tuple(RotationSetting)
@@ -93,6 +86,11 @@ class TimingModel:
     pulse_pi_us: float = 8.0
     process_duration_us: float = 0.0
     shot_overhead_ms: float = 10.0
+
+    def __post_init__(self):
+        # Negative durations stay allowed, as for ProcessSpec.duration_us.
+        if not all(math.isfinite(v) for v in asdict(self).values()):
+            raise ValidationError("timing parameters must be finite")
 
     @property
     def prep_block_us(self) -> float:
@@ -171,13 +169,16 @@ def meas_operator(pair: tuple[RotationSetting, RotationSetting]) -> np.ndarray:
     return np.outer(phi, phi.conj())
 
 
-# Design tensors, effect matrices and inversion maps are pure functions of the
-# sequence settings; cache by the settings signature so plans differing only
-# in timing share them.  Effect matrices and inversion maps are stored
-# read-only, since every caller gets the same arrays.
-_DESIGN_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+# Effect matrices and inversion maps are pure functions of the sequence
+# settings; cache them by the settings signature so plans differing only in
+# timing share them.  Both are stored read-only, since every caller gets the
+# same arrays.
 _EFFECT_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 _INVERSION_CACHE: dict[tuple, tuple[int, np.ndarray | None]] = {}
+
+# Predicted probabilities may leave [0, 1] by this much before the chi counts
+# as not CPTP; within it they are clipped.
+_BOUNDARY_TOL = 1e-10
 
 
 def _plan_signature(plan: ExperimentPlan) -> tuple:
@@ -187,26 +188,9 @@ def _plan_signature(plan: ExperimentPlan) -> tuple:
 
 def sequence_operators(plan: ExperimentPlan) -> tuple[np.ndarray, np.ndarray]:
     """Stacked prep states and measurement operators, each (n_seq, 4, 4)."""
-    sig = _plan_signature(plan)
-    cached = _DESIGN_CACHE.get(sig)
-    if cached is None:
-        rho = np.stack([prep_state(s.prep) for s in plan.sequences])
-        mop = np.stack([meas_operator(s.meas) for s in plan.sequences])
-        ctensor = _build_design_tensor(rho, mop)
-        cached = (rho, mop, ctensor)
-        _DESIGN_CACHE[sig] = cached
-    return cached[0], cached[1]
-
-
-def _build_design_tensor(rho: np.ndarray, mop: np.ndarray) -> np.ndarray:
-    # C[k, m, n] = Tr(M_k P_n rho_k P_m^dag); p_k = sum_mn chi[m,n] C[k,m,n].
-    pn_rho = np.einsum("nbc,kcd->knbd", _P, rho)
-    return np.einsum("kab,knbd,mda->kmn", mop, pn_rho, _P.conj().transpose(0, 2, 1))
-
-
-def design_tensor(plan: ExperimentPlan) -> np.ndarray:
-    sequence_operators(plan)
-    return _DESIGN_CACHE[_plan_signature(plan)][2]
+    rho = np.stack([prep_state(s.prep) for s in plan.sequences])
+    mop = np.stack([meas_operator(s.meas) for s in plan.sequences])
+    return rho, mop
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -240,74 +224,44 @@ def effect_matrix(plan: ExperimentPlan) -> tuple[np.ndarray, np.ndarray]:
     return cached
 
 
-def predict_p2(chi: ProcessMatrix, plan: ExperimentPlan,
-               boundary_tol: float = 1e-10) -> np.ndarray:
+def predict_p2(chi: ProcessMatrix, plan: ExperimentPlan) -> np.ndarray:
     """Predicted both-bright probability for every sequence in plan order."""
-    c = design_tensor(plan)
-    p = np.einsum("mn,kmn->k", chi.chi, c)
-    if np.max(np.abs(p.imag)) > 1e-8:
+    # F is real, so it would silently drop an anti-Hermitian part of chi.
+    if hermiticity_deviation(chi.chi) > 1e-8:
         raise ValidationError("forward model produced complex probabilities; "
                               "chi violates Hermiticity")
-    p = p.real
-    if p.min() < -boundary_tol or p.max() > 1.0 + boundary_tol:
+    choi = np.ascontiguousarray(chi_to_choi(chi.chi))
+    p = effect_matrix(plan)[0] @ choi.view(float).ravel()
+    if p.min() < -_BOUNDARY_TOL or p.max() > 1.0 + _BOUNDARY_TOL:
         raise ValidationError(
             f"probability outside [0,1]: range [{p.min():.3e}, {p.max():.3e}]; "
             "chi is not CPTP")
     return np.clip(p, 0.0, 1.0)
 
 
-def hermitian_dof_basis() -> np.ndarray:
-    """256 Hermitian 16x16 basis matrices parameterizing chi with real weights.
-
-    Order: 16 diagonal projectors, then for each m < n the symmetric pair
-    (E_mn + E_nm) followed by the antisymmetric pair i(E_mn - E_nm).
-    """
-    basis = np.zeros((256, 16, 16), dtype=complex)
-    a = 0
-    for m in range(16):
-        basis[a, m, m] = 1.0
-        a += 1
-    for m in range(16):
-        for n in range(m + 1, 16):
-            basis[a, m, n] = 1.0
-            basis[a, n, m] = 1.0
-            a += 1
-            basis[a, m, n] = 1.0j
-            basis[a, n, m] = -1.0j
-            a += 1
-    return basis
-
-
-def design_matrix(plan: ExperimentPlan) -> tuple[np.ndarray, np.ndarray]:
-    """Real linear map A from Hermitian-chi coefficients to probabilities.
-
-    Returns (A, H) with A of shape (n_seq, 256) and H the Hermitian basis such
-    that p = A @ x for chi = sum_a x[a] H[a].
-    """
-    c = design_tensor(plan)
-    h = hermitian_dof_basis()
-    a = c.reshape(len(c), 256) @ h.reshape(256, 256).T
-    return a.real.copy(), h
-
-
 def inversion_map(plan: ExperimentPlan) -> tuple[int, np.ndarray | None]:
-    """Rank of the design matrix, and the least-squares map to chi.
+    """Rank of the effect matrix, and its least-squares inverse.
 
-    For a full-rank plan the map L = H^T pinv(A), for (A, H) from
-    ``design_matrix``, gives the least-squares chi from frequencies f as
-    (L @ f).reshape(16, 16).  Singular values at or below max(A.shape) * eps
-    times the largest count as zero, the cutoff of numpy's ``lstsq`` and
-    ``matrix_rank``.  L is None when the rank is below 256.
+    For a full-rank plan the map L = pinv(F), for F from ``effect_matrix``,
+    gives the minimum-norm least-squares Choi matrix from frequencies f as
+    (L @ f).view(complex).reshape(16, 16).  F's row space holds only
+    Hermitian J, so that J is Hermitian, and it is the one least-squares fit
+    among Hermitian J.  Singular values at or below max(F.shape) * eps times the
+    largest count as zero, the cutoff of numpy's ``lstsq`` and
+    ``matrix_rank``.  L is None when the rank is below 256, the number of
+    real parameters of a Hermitian J.
     """
     sig = _plan_signature(plan)
     cached = _INVERSION_CACHE.get(sig)
     if cached is None:
-        a, h = design_matrix(plan)
-        u, s, vt = np.linalg.svd(a, full_matrices=False)
-        rank = int(np.sum(s > s[0] * max(a.shape) * np.finfo(float).eps))
+        forward, _ = effect_matrix(plan)
+        # F^T = U S V^T is C-contiguous, LAPACK's faster layout here, and
+        # pinv(F) = U S^-1 V^T.
+        u, s, vt = np.linalg.svd(forward.T, full_matrices=False)
+        rank = int(np.sum(s > s[0] * max(forward.shape) * np.finfo(float).eps))
         inverse = None
-        if rank == a.shape[1]:
-            inverse = _read_only(h.reshape(256, 256).T @ ((vt.T / s) @ u.T))
+        if rank == 256:
+            inverse = _read_only((u[:, :rank] / s[:rank]) @ vt[:rank])
         cached = (rank, inverse)
         _INVERSION_CACHE[sig] = cached
     return cached
@@ -332,4 +286,9 @@ def timing_to_dict(t: TimingModel) -> dict:
 
 
 def timing_from_dict(d: dict) -> TimingModel:
+    if not isinstance(d, dict):
+        raise ValidationError(f"timing must be a mapping, got {type(d).__name__}")
+    unknown = sorted(set(d) - {f.name for f in fields(TimingModel)})
+    if unknown:
+        raise ValidationError(f"unknown timing field(s): {', '.join(unknown)}")
     return TimingModel(**d)

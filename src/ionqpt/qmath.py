@@ -2,7 +2,8 @@
 
 All matrices are plain complex numpy arrays. Dimensions used elsewhere in the
 package are 2 (one qubit), 4 (two qubits), 16 (process matrices / Choi
-matrices) and 256 (design matrices).
+matrices) and 256 (sequences of the tomography plan, the rows of its effect
+matrix).
 """
 from __future__ import annotations
 

@@ -1,7 +1,9 @@
 """Reconstruction of chi from shot datasets.
 
-``linear_inversion`` solves the 256x256 linear system from frequencies and is
-fast but can return unphysical (non-PSD) matrices when the data are noisy.
+``linear_inversion`` fits the Choi matrix to the frequencies by least squares
+through the plan's cached pseudo-inverse of the effect matrix
+(``protocol.inversion_map``); it is fast but can return unphysical (non-PSD)
+matrices when the data are noisy.
 ``mle_reconstruct`` maximizes the per-sequence binomial likelihood of the
 both-bright counts over CPTP maps, parameterized by the Choi matrix J, with
 the diluted fixed-point iteration of Jezek, Fiurasek & Hradil, PRA 68, 012305
@@ -21,7 +23,8 @@ maps; the solve stops once it is at most ``MleConfig.gap_tolerance``.
 
 Both halves of an iteration read the plan's cached effect matrix E, whose
 row k is vec(rho_k^T (x) M_k) (``protocol.effect_matrix``, kept as a real
-matrix F).  p_k = Tr(J E_k) is one product of F with the real view of vec J.
+matrix F, the package's one forward model).  p_k = Tr(J E_k) is one product
+of F with the real view of vec J.
 With w = n2/p - n_other/(1-p) and b = n_other/(1-p), the gradient operator
 is R = sum_k w_k E_k + (sum_k b_k rho_k^T) (x) I, because the effect of the
 other outcomes is rho_k^T (x) I - E_k: one product w @ F plus a 16-term sum.
@@ -29,9 +32,7 @@ other outcomes is rho_k^T (x) I - E_k: one product w @ F plus a 16-term sum.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -57,12 +58,11 @@ __all__ = [
     "mle_reconstruct",
     "bootstrap_statistic",
     "bootstrap_fidelity",
-    "max_threads",
 ]
 
 
 class IdentifiabilityError(ValueError):
-    """The plan's design matrix does not determine chi uniquely."""
+    """The plan's effect matrix does not determine chi uniquely."""
 
 
 @dataclass(frozen=True)
@@ -130,7 +130,8 @@ def linear_inversion(dataset: ShotDataset
     if inverse is None:
         raise IdentifiabilityError(
             f"plan design rank {rank} < 256; chi is not identifiable")
-    chi = (inverse @ dataset.frequencies).reshape(16, 16)
+    j = (inverse @ dataset.frequencies).view(complex).reshape(16, 16)
+    chi = choi_to_chi(0.5 * (j + j.conj().T))
     raw_trace = float(chi.trace().real)
     chi = chi / raw_trace
     min_eig = float(np.linalg.eigvalsh(0.5 * (chi + chi.conj().T))[0])
@@ -245,14 +246,6 @@ def mle_reconstruct(dataset: ShotDataset, config: MleConfig | None = None
     return ProcessMatrix(chi), result
 
 
-def max_threads() -> int:
-    """Internal parallelism cap from the QPT_THREADS environment variable."""
-    try:
-        return max(1, int(os.environ.get("QPT_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def bootstrap_statistic(dataset: ShotDataset, config: MleConfig | None,
                         statistic: Callable[[ProcessMatrix], float],
                         replicas: int, seed: int,
@@ -268,24 +261,17 @@ def bootstrap_statistic(dataset: ShotDataset, config: MleConfig | None,
     plan = dataset.plan
     shots = plan.shots_per_sequence
     freq = dataset.frequencies
-
-    def one(r: int) -> tuple[float, MleResult]:
+    values = []
+    for r in range(replicas):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
         resampled = ShotDataset(plan=plan, noise=dataset.noise,
                                 process=dataset.process, seed=None,
                                 n2=rng.binomial(shots, freq).astype(float))
         chi, result = mle_reconstruct(resampled, config)
-        return float(statistic(chi)), result
-
-    workers = max_threads()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outs = list(pool.map(one, range(replicas)))
-    else:
-        outs = [one(r) for r in range(replicas)]
-    if results is not None:
-        results.extend(result for _, result in outs)
-    return np.array([value for value, _ in outs])
+        values.append(float(statistic(chi)))
+        if results is not None:
+            results.append(result)
+    return np.array(values)
 
 
 def bootstrap_fidelity(dataset: ShotDataset, config: MleConfig | None,

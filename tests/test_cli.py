@@ -168,6 +168,25 @@ def test_reconstruct_zero_iterations_exit_2(small_dataset, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("timing", [
+    {"composite_block_us": 25.0, "dead_time_us": 1.0},
+    [25.0, 8.0, 0.0, 10.0],
+    {"shot_overhead_ms": float("nan")},
+], ids=["unknown-key", "not-a-mapping", "nan"])
+def test_reconstruct_bad_timing_exit_2(small_dataset, tmp_path, capsys,
+                                       timing):
+    with open(small_dataset) as fh:
+        doc = json.load(fh)
+    doc["meta"]["timing"] = timing
+    path = str(tmp_path / "bad_timing.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    assert run("reconstruct", path, "-o", str(tmp_path / "chi.json")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # report
 # ---------------------------------------------------------------------------

@@ -11,14 +11,16 @@ from ionqpt.ionsim import (
 )
 from ionqpt.process import (
     ProcessMatrix,
-    chi_to_choi,
+    apply_process,
     process_fidelity,
     validate_cptp,
 )
 from ionqpt.protocol import (
     ExperimentPlan,
     build_plan,
+    design_rank,
     effect_matrix,
+    inversion_map,
     predict_p2,
     sequence_operators,
 )
@@ -31,7 +33,6 @@ from ionqpt.recon import (
     bootstrap_fidelity,
     bootstrap_statistic,
     linear_inversion,
-    max_threads,
     mle_reconstruct,
 )
 
@@ -187,17 +188,6 @@ def test_bootstrap_needs_two_replicas(ms_sampled_dataset):
                             replicas=1, seed=0)
 
 
-def test_max_threads_env(monkeypatch):
-    monkeypatch.delenv("QPT_THREADS", raising=False)
-    assert max_threads() == 1
-    monkeypatch.setenv("QPT_THREADS", "4")
-    assert max_threads() == 4
-    monkeypatch.setenv("QPT_THREADS", "junk")
-    assert max_threads() == 1
-    monkeypatch.setenv("QPT_THREADS", "-2")
-    assert max_threads() == 1
-
-
 def _random_cptp_chi(rng) -> ProcessMatrix:
     """chi of the channel whose four Kraus operators are the blocks of a
     random 16x4 isometry."""
@@ -213,19 +203,37 @@ def _random_cptp_chi(rng) -> ProcessMatrix:
     return chi
 
 
-def test_effect_matrix_matches_design_tensor():
+def test_predict_p2_matches_chi_space_oracle():
+    # The oracle applies chi in the Pauli basis, never forming a Choi matrix:
+    # p_k = Tr(M_k E(rho_k)).
     plan = build_plan(shots=10)
     forward, rho_t = effect_matrix(plan)
     assert not forward.flags.writeable and not rho_t.flags.writeable
-    rho, _ = sequence_operators(plan)
+    rho, mop = sequence_operators(plan)
     np.testing.assert_array_equal(rho_t.reshape(-1, 4, 4),
                                   rho.transpose(0, 2, 1))
     rng = np.random.default_rng(2024)
     for _ in range(5):
         chi = _random_cptp_chi(rng)
-        choi = np.ascontiguousarray(chi_to_choi(chi.chi))
-        np.testing.assert_allclose(forward @ choi.view(float).ravel(),
-                                   predict_p2(chi, plan), rtol=0, atol=1e-12)
+        oracle = [np.trace(m @ apply_process(chi, r)).real
+                  for r, m in zip(rho, mop)]
+        np.testing.assert_allclose(predict_p2(chi, plan), oracle,
+                                   rtol=0, atol=1e-12)
+
+
+def test_inversion_map_rank_and_exact_recovery():
+    plan = build_plan(shots=10)
+    rank, inverse = inversion_map(plan)
+    assert rank == design_rank(plan) == 256
+    assert inverse.shape == (512, 256) and not inverse.flags.writeable
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        chi = _random_cptp_chi(rng)
+        ds = dataset_from_probabilities(plan, predict_p2(chi, plan),
+                                        ProcessSpec.identity())
+        recovered, diag = linear_inversion(ds)
+        assert diag.raw_trace == pytest.approx(1.0, abs=1e-10)
+        np.testing.assert_allclose(recovered.chi, chi.chi, rtol=0, atol=1e-10)
 
 
 def _einsum_mle_choi(dataset, config, steps):
