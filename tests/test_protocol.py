@@ -9,6 +9,9 @@ from ionqpt.protocol import (
     RotationSetting,
     TimingModel,
     build_plan,
+    design_rank,
+    effect_matrix,
+    inversion_map,
     meas_operator,
     predict_p2,
     prep_state,
@@ -108,6 +111,33 @@ def test_predict_p2_rejects_non_hermitian():
     chi[0, 5] = 0.1
     with pytest.raises(ValidationError, match="Hermiticity"):
         predict_p2(ProcessMatrix(chi, validate=False), build_plan())
+
+
+def test_hermitian_dof_basis_is_complete():
+    # The 256 real coordinates of a Hermitian Choi matrix are exactly what
+    # the forward map sees: each Hermitian J comes back through F and its
+    # inverse, and an anti-Hermitian part gives no signal at all.
+    plan = build_plan()
+    forward, _ = effect_matrix(plan)
+    _, inverse = inversion_map(plan)
+    rng = np.random.default_rng(3)
+    g = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    herm = np.ascontiguousarray(g + g.conj().T)
+    anti = np.ascontiguousarray(g - g.conj().T)
+    back = (inverse @ (forward @ herm.view(float).ravel())).view(complex)
+    np.testing.assert_allclose(back.reshape(16, 16), herm, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(forward @ anti.view(float).ravel(), 0.0,
+                               rtol=0, atol=1e-10)
+
+
+def test_design_matrix_and_rank():
+    plan = build_plan()
+    forward, rho_t = effect_matrix(plan)
+    assert forward.shape == (256, 512)
+    assert forward.dtype == float
+    assert rho_t.shape == (256, 16)
+    assert not forward.flags.writeable
+    assert design_rank(plan) == 256
 
 
 def test_plan_rejects_nonincreasing_times():
