@@ -12,7 +12,13 @@ import scipy.constants as const
 import scipy.optimize
 
 from .ionsim import ramsey_contrast_model
-from .process import ProcessMatrix, apply_process, process_fidelity, unitary_to_chi
+from .process import (
+    ProcessMatrix,
+    apply_process,
+    atomic_write_text,
+    process_fidelity,
+    unitary_to_chi,
+)
 from .protocol import rotation_unitary
 from .qmath import ValidationError, matrix_exponential, two_qubit_pauli_basis
 
@@ -81,17 +87,16 @@ def _output_populations(chi: ProcessMatrix, analysis_phase: float | None
     return p2, max(0.0, 1.0 - p2 - p0), p0
 
 
-def simulate_parity_scan(chi: ProcessMatrix, phases=None, shots: int = 0,
+def simulate_parity_scan(chi: ProcessMatrix, shots: int = 0,
                          seed: int = 0) -> ParityScan:
     """Parity fringe of the state chi(|SS><SS|) under a common pi/2 analysis pulse.
 
-    With ``shots`` > 0 each phase point is multinomially sampled with
-    shots/len(phases) repetitions; shots = 0 returns exact populations.  The
-    amplitude is a least-squares fit of a*sin(2 phi) + b*cos(2 phi) + c.
+    The analysis phase takes 24 equally spaced values in [0, 2 pi).  With
+    ``shots`` > 0 each phase point is multinomially sampled with shots/24
+    repetitions; shots = 0 returns exact populations.  The amplitude is a
+    least-squares fit of a*sin(2 phi) + b*cos(2 phi) + c.
     """
-    if phases is None:
-        phases = np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False)
-    phases = np.asarray(phases, dtype=float)
+    phases = np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     p2 = np.empty_like(phases)
     p1 = np.empty_like(phases)
@@ -143,34 +148,26 @@ class OverRotationFit:
     residual_error: float  # 1 - best fidelity
 
 
-def fit_over_rotation(chi_meas: ProcessMatrix, lo: float = 0.0,
-                      hi: float = math.pi / 2,
-                      xtol: float = 1e-7) -> OverRotationFit:
-    """Best-fit angle of an exp(-i theta XX) propagator by golden-section search.
+def fit_over_rotation(chi_meas: ProcessMatrix) -> OverRotationFit:
+    """Best-fit angle theta in [0, pi/2] of an exp(-i theta XX) propagator.
 
-    The fidelity profile is unimodal on [0, pi/2] for near-unitary chi, so
-    golden-section is reliable without derivatives.
+    The fit is closed form.  Only the II and XX elements of chi_theta are
+    nonzero, so the real part of Tr(chi chi_theta) is the sinusoid
+    (a + b)/2 + (a - b)/2 cos 2 theta + g sin 2 theta, with a = chi[II,II],
+    b = chi[XX,XX] and g = (Im chi[XX,II] - Im chi[II,XX])/2.  Its maximum
+    is at theta = atan2(g, (a - b)/2)/2; when that lies outside [0, pi/2]
+    the better end point wins.  ``residual_error`` is 1 - F_p at theta.
     """
-    def fid(theta: float) -> float:
-        chi_t = unitary_to_chi(matrix_exponential(_XX, theta))
-        return process_fidelity(chi_meas, chi_t).fidelity
-
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = fid(c), fid(d)
-    while b - a > xtol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fid(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = fid(d)
-    theta = 0.5 * (a + b)
-    return OverRotationFit(theta=theta, residual_error=1.0 - fid(theta))
+    c = chi_meas.chi
+    a, b = c[0, 0].real, c[5, 5].real
+    g = 0.5 * (c[5, 0].imag - c[0, 5].imag)
+    theta = 0.5 * math.atan2(g, 0.5 * (a - b))
+    if not 0.0 <= theta <= math.pi / 2:
+        theta = 0.0 if a >= b else math.pi / 2
+    chi_t = unitary_to_chi(matrix_exponential(_XX, theta))
+    return OverRotationFit(
+        theta=theta,
+        residual_error=1.0 - process_fidelity(chi_meas, chi_t).fidelity)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +181,7 @@ class RamseyFit:
     residual: float
 
 
-def fit_ramsey_model(delays_us, contrasts, uncertainties=None) -> RamseyFit:
+def fit_ramsey_model(delays_us, contrasts) -> RamseyFit:
     """Least-squares (diffusion, fast-jitter) fit of the contrast curve.
 
     The model multiplies the diffusion decay exp(-c^2 tau / 2) by the
@@ -197,12 +194,10 @@ def fit_ramsey_model(delays_us, contrasts, uncertainties=None) -> RamseyFit:
         raise ValidationError("need at least 3 delay points")
     if np.ptp(contrasts) < 1e-9:
         raise FitError("contrast curve is flat; noise parameters unidentifiable")
-    sigma = None if uncertainties is None else np.asarray(uncertainties, float)
     try:
         popt, _ = scipy.optimize.curve_fit(
             ramsey_contrast_model, delays_us, contrasts,
-            p0=(0.01, 200.0), sigma=sigma,
-            bounds=([0.0, 0.0], [1.0, 1e5]), maxfev=10000)
+            p0=(0.01, 200.0), bounds=([0.0, 0.0], [1.0, 1e5]), maxfev=10000)
     except RuntimeError as exc:
         raise FitError(f"Ramsey model fit failed: {exc}") from exc
     residual = float(np.sqrt(np.mean(
@@ -229,8 +224,8 @@ class MotionalOccupation:
             raise ValidationError("occupation parameters must be nonnegative")
 
 
-def _populations(n_th: float, n_coh: float, n_max: int | None,
-                 tail_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _populations(n_th: float, n_coh: float, tail_tol: float
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(p, dp/dn_th, dp/dn_coh) at the truncation that meets ``tail_tol``."""
     # p_n = (1 - r) exp(-n_coh / a) q_n with a = 1 + n_th, r = n_th / a and
     # q_n = r^n L_n(-n_coh / (n_th a)) (P. Marian & T. A. Marian, PRA 47,
@@ -243,9 +238,9 @@ def _populations(n_th: float, n_coh: float, n_max: int | None,
     # derivatives on the same scale.
     if not (0 <= n_th < math.inf and 0 <= n_coh < math.inf):
         raise ValidationError("n_th and n_coh must be finite and nonnegative")
-    if n_max is None and n_th + n_coh >= _MAX_DIM:
+    if n_th + n_coh >= _MAX_DIM:
         raise TruncationError(f"mean occupation beyond {_MAX_DIM} Fock states")
-    dim = _auto_dim(n_th, n_coh, tail_tol) if n_max is None else n_max + 1
+    dim = _auto_dim(n_th, n_coh, tail_tol)
     a = 1.0 + n_th
     r, y = n_th / a, n_coh / a ** 2
     q, log_scale = [1.0, r + y], 0.0
@@ -260,10 +255,10 @@ def _populations(n_th: float, n_coh: float, n_max: int | None,
         tail = float((1.0 - p.sum()) + p[-2:].sum())
         if tail <= tail_tol:
             break
-        if n_max is not None or dim >= _MAX_DIM:
+        if dim >= _MAX_DIM:
             raise TruncationError(
                 f"truncation tail {tail:.2e} at {dim} Fock states exceeds "
-                f"{tail_tol:.0e}; increase n_max")
+                f"{tail_tol:.0e}")
         dim = min(2 * dim, _MAX_DIM)
     q_y = [0.0]
     for q_k in q[:dim - 1]:
@@ -277,18 +272,17 @@ def _populations(n_th: float, n_coh: float, n_max: int | None,
 
 
 def displaced_thermal_populations(n_th: float, n_coh: float,
-                                  n_max: int | None = None,
                                   tail_tol: float = 1e-6) -> np.ndarray:
     """Fock populations p_0 .. p_{dim-1} of a displaced thermal state.
 
     The thermal state of mean occupation ``n_th`` displaced by |alpha|^2 =
     ``n_coh`` has the closed form p_n = (1 - r) exp(-n_coh / (1 + n_th))
     r^n L_n(-n_coh / (n_th (1 + n_th))), r = n_th / (1 + n_th), evaluated by
-    a forward Laguerre recurrence in O(dim).  When ``n_max`` is given and the
-    truncation tail exceeds ``tail_tol`` a TruncationError asks for a larger
-    basis; otherwise the truncation grows automatically, up to 4096 states.
+    a forward Laguerre recurrence in O(dim).  The truncation grows until the
+    tail meets ``tail_tol``; a TruncationError reports a tail that 4096
+    states cannot meet.
     """
-    return _populations(n_th, n_coh, n_max, tail_tol)[0]
+    return _populations(n_th, n_coh, tail_tol)[0]
 
 
 def _auto_dim(n_th: float, n_coh: float, tail_tol: float) -> int:
@@ -325,7 +319,7 @@ def _sideband_jacobian(params: np.ndarray, times_s: np.ndarray, eta: float,
                        tail_tol: float) -> np.ndarray:
     """d sideband_rabi_signal / d(Omega, n_th, n_coh), one row per time."""
     omega, n_th, n_coh = params
-    pops, d_th, d_coh = _populations(n_th, n_coh, None, tail_tol)
+    pops, d_th, d_coh = _populations(n_th, n_coh, tail_tol)
     # d/dOmega 2 sin^2(x/2) = sin(x) rate t; x = Omega rate t, rate = eta sqrt(n+1)
     rate = eta * np.sqrt(np.arange(len(pops)) + 1.0)
     half = np.outer(times_s, 0.5 * omega * rate)
@@ -351,8 +345,8 @@ def _lombscargle(t: np.ndarray, y: np.ndarray,
     return np.squeeze(2.0 * (yc / cc * yc + ys / ss * ys)) * (len(t) / 4.0)
 
 
-def fit_heating(times_us, signals, eta: float = 0.039,
-                n_starts: int = 5) -> tuple[MotionalOccupation, np.ndarray]:
+def fit_heating(times_us, signals,
+                eta: float = 0.039) -> tuple[MotionalOccupation, np.ndarray]:
     """Fit (Omega, n_th, n_coh) to a sideband Rabi curve.
 
     Multi-start bounded least squares, analytic Jacobian; the best start by
@@ -379,8 +373,7 @@ def fit_heating(times_us, signals, eta: float = 0.039,
     pgram = _lombscargle(t_s, signals - signals.mean(), 2.0 * math.pi * freqs)
     f_dom = float(freqs[int(np.argmax(pgram))])
 
-    start_ns = [(0.3, 0.1), (2.0, 0.5), (6.0, 0.5), (3.0, 8.0),
-                (25.0, 15.0), (40.0, 25.0)][:n_starts]
+    start_ns = [(0.3, 0.1), (2.0, 0.5), (6.0, 0.5), (3.0, 8.0), (25.0, 15.0)]
 
     def residuals(params: np.ndarray) -> np.ndarray:
         occ = MotionalOccupation(n_th=params[1], n_coh=params[2],
@@ -461,8 +454,6 @@ def read_series_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_series_csv(path: str, xs, ys, header: tuple[str, str]) -> None:
-    from .process import atomic_write_text
-
     lines = [f"{header[0]},{header[1]}"]
     lines += [f"{float(x)!r},{float(y)!r}"
               for x, y in zip(np.asarray(xs), np.asarray(ys))]

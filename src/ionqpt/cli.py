@@ -16,12 +16,14 @@ import sys
 import numpy as np
 
 from .analysis import (
+    FitError,
     bell_populations,
     bell_state_fidelity,
     fit_heating,
     fit_over_rotation,
     fit_ramsey_model,
     read_series_csv,
+    sideband_rabi_signal,
     simulate_parity_scan,
     write_series_csv,
 )
@@ -31,6 +33,7 @@ from .ionsim import (
     ShotDataset,
     generate_dataset,
     plan_for_process,
+    simulate_ramsey,
 )
 from .process import (
     ProcessMatrix,
@@ -39,7 +42,6 @@ from .process import (
     load_chi,
     process_fidelity,
     save_chi,
-    unitary_to_chi,
 )
 from .protocol import RotationSetting
 from .qmath import ValidationError, pauli_labels_2q
@@ -76,17 +78,13 @@ def _noise_from_arg(arg: str) -> NoiseModel:
         raise InputError(f"invalid noise file {arg!r}: {exc}") from exc
 
 
-def _process_from_args(args) -> ProcessSpec:
-    label = args.process
-    if label == "identity":
-        return ProcessSpec.identity()
-    if label == "delay":
-        return ProcessSpec.delay()
-    if label == "ms":
-        return ProcessSpec.ms()
-    if label == "ms_plus":
-        return ProcessSpec.ms_plus(theta=args.theta)
-    raise InputError(f"unknown process {label!r}")
+# Process label -> ProcessSpec, given the --theta argument (read by ms_plus).
+_PROCESSES = {
+    "identity": lambda theta: ProcessSpec.identity(),
+    "delay": lambda theta: ProcessSpec.delay(),
+    "ms": lambda theta: ProcessSpec.ms(),
+    "ms_plus": ProcessSpec.ms_plus,
+}
 
 
 def _load_dataset(path: str) -> ShotDataset:
@@ -109,22 +107,12 @@ def _load_chi(path: str) -> ProcessMatrix:
         raise InputError(f"invalid chi file {path!r}: {exc}") from exc
 
 
-def _ideal_chi_from_args(args) -> ProcessMatrix:
-    if args.ideal == "identity":
-        return ProcessSpec.identity().ideal_chi()
-    if args.ideal == "ms":
-        return ProcessSpec.ms().ideal_chi()
-    if args.ideal == "ms_plus":
-        return ProcessSpec.ms_plus(theta=args.theta).ideal_chi()
-    raise InputError(f"unknown ideal label {args.ideal!r}")
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
-    process = _process_from_args(args)
+    process = _PROCESSES[args.process](args.theta)
     noise = _noise_from_arg(args.noise)
     plan = plan_for_process(process, shots=args.shots)
     dataset = generate_dataset(plan, process, noise, args.seed)
@@ -191,26 +179,20 @@ def _write_amplitude_csvs(prefix: str, chi: ProcessMatrix) -> None:
 
 def cmd_report(args) -> int:
     chi = _load_chi(args.chi)
-    chi_ideal = _ideal_chi_from_args(args)
-    rep = process_fidelity(chi, chi_ideal)
+    ideal = _PROCESSES[args.ideal](args.theta)
+    rep = process_fidelity(chi, ideal.ideal_chi())
     print(f"F_p = {rep.fidelity:.6f}  (process error {100 * (1 - rep.fidelity):.2f}%)")
     status = EXIT_OK
     if args.dataset is not None:
         dataset = _load_dataset(args.dataset)
-        if args.ideal == "identity":
-            ideal_u = np.eye(4, dtype=complex)
-        elif args.ideal == "ms":
-            ideal_u = ProcessSpec.ms().ideal_unitary()
-        else:
-            ideal_u = ProcessSpec.ms_plus(theta=args.theta).ideal_unitary()
-        boot = bootstrap_fidelity(dataset, None, ideal_u,
+        boot = bootstrap_fidelity(dataset, None, ideal.ideal_unitary(),
                                   replicas=args.replicas, seed=args.seed)
         print(f"bootstrap std over {boot.replicas} replicas: {boot.std:.6f}")
         if boot.unconverged:
             print(f"warning: MLE did not converge for {boot.unconverged} of "
                   f"{boot.replicas} bootstrap replicas", file=sys.stderr)
             status = EXIT_WARNING
-    if args.ideal in ("ms", "ms_plus"):
+    if ideal.is_entangling:
         fit = fit_over_rotation(chi)
         print(f"over-rotation fit: theta+ = {fit.theta:.6f} rad "
               f"({fit.theta / (math.pi / 4):.4f} x pi/4), "
@@ -227,7 +209,7 @@ def cmd_bell(args) -> int:
         chi = _load_chi(args.chi)
         source = {"chi": args.chi}
     else:
-        process = _process_from_args(args)
+        process = _PROCESSES[args.process](args.theta)
         if not process.is_entangling:
             raise InputError("bell requires an entangling process "
                              "(ms or ms_plus)")
@@ -252,7 +234,6 @@ def cmd_bell(args) -> int:
 
 
 def cmd_ramsey(args) -> int:
-    from .ionsim import simulate_ramsey
     try:
         delays = [float(x) for x in args.delays.split(",")]
     except ValueError as exc:
@@ -263,7 +244,6 @@ def cmd_ramsey(args) -> int:
                      header=("delay_us", "contrast"))
     print(f"wrote {args.output}")
     if args.fit:
-        from .analysis import FitError
         try:
             fit = fit_ramsey_model(np.asarray(delays), contrasts)
         except (ValidationError, FitError) as exc:
@@ -289,7 +269,6 @@ def cmd_heating(args) -> int:
         raise InputError(f"cannot read series {args.input!r}: {exc}") from exc
     except (ValueError, ValidationError) as exc:
         raise InputError(f"invalid series {args.input!r}: {exc}") from exc
-    from .analysis import FitError, sideband_rabi_signal
     try:
         occ, cov = fit_heating(times, signal, eta=args.eta)
     except FitError as exc:
@@ -317,8 +296,7 @@ def cmd_heating(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_process_args(p, default="ms"):
-    p.add_argument("--process", default=default,
-                   choices=["identity", "delay", "ms", "ms_plus"])
+    p.add_argument("--process", default=default, choices=list(_PROCESSES))
     p.add_argument("--theta", type=float, default=1.04,
                    help="gate angle for ms_plus (rad)")
 
@@ -394,10 +372,7 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "seed", 0) < 0:
             raise InputError(f"--seed must be nonnegative, got {args.seed}")
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except ValidationError as exc:
+    except (InputError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -27,14 +27,14 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .process import ProcessMatrix, atomic_write_text, identity_chi, unitary_to_chi
+from .process import ProcessMatrix, atomic_write_text, unitary_to_chi
 from .protocol import (
     ExperimentPlan,
     RotationSetting,
     TimingModel,
+    _from_dict,
     build_plan,
     timing_from_dict,
-    timing_to_dict,
 )
 from .qmath import ValidationError, matrix_exponential, two_qubit_pauli_basis
 
@@ -93,9 +93,8 @@ class NoiseModel:
         return cls(phi_p_error_mrad=-145.0, scaling_phase_error_mrad_ion2=155.0)
 
     @classmethod
-    def drift_only(cls, drift_hz_per_min: float = 7.0) -> "NoiseModel":
-        return cls(drift_hz_per_min=drift_hz_per_min, fast_freq_sigma_hz=0.0,
-                   phase_diffusion_rad_per_sqrt_us=0.0)
+    def drift_only(cls) -> "NoiseModel":
+        return cls(fast_freq_sigma_hz=0.0, phase_diffusion_rad_per_sqrt_us=0.0)
 
     @property
     def fast_freq_gaussian_sigma_hz(self) -> float:
@@ -107,7 +106,7 @@ class NoiseModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NoiseModel":
-        return cls(**d)
+        return _from_dict(cls, d, "noise")
 
 
 @dataclass(frozen=True)
@@ -131,17 +130,16 @@ class ProcessSpec:
         return cls("identity", duration_us=0.0)
 
     @classmethod
-    def delay(cls, duration_us: float = 120.0) -> "ProcessSpec":
-        return cls("delay", duration_us=duration_us)
+    def delay(cls) -> "ProcessSpec":
+        return cls("delay")
 
     @classmethod
-    def ms(cls, duration_us: float = 120.0) -> "ProcessSpec":
-        return cls("ms", theta=math.pi / 4, duration_us=duration_us)
+    def ms(cls) -> "ProcessSpec":
+        return cls("ms", theta=math.pi / 4)
 
     @classmethod
-    def ms_plus(cls, theta: float = 1.04,
-                duration_us: float = 120.0) -> "ProcessSpec":
-        return cls("ms_plus", theta=theta, duration_us=duration_us)
+    def ms_plus(cls, theta: float = 1.04) -> "ProcessSpec":
+        return cls("ms_plus", theta=theta)
 
     @property
     def is_entangling(self) -> bool:
@@ -153,17 +151,14 @@ class ProcessSpec:
         return _I4.copy()
 
     def ideal_chi(self) -> ProcessMatrix:
-        if self.is_entangling:
-            return unitary_to_chi(self.ideal_unitary())
-        return identity_chi()
+        return unitary_to_chi(self.ideal_unitary())
 
     def to_dict(self) -> dict:
-        return {"label": self.label, "theta": self.theta,
-                "duration_us": self.duration_us}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ProcessSpec":
-        return cls(**d)
+        return _from_dict(cls, d, "process")
 
 
 def plan_for_process(process: ProcessSpec, shots: int = 500,
@@ -407,7 +402,7 @@ class ShotDataset:
                 "process_label": self.process.label,
                 "process": self.process.to_dict(),
                 "noise": self.noise.to_dict(),
-                "timing": timing_to_dict(self.plan.timing),
+                "timing": asdict(self.plan.timing),
                 "shots": self.plan.shots_per_sequence,
             },
             "records": records,
@@ -497,18 +492,17 @@ def ramsey_contrast_model(tau_us: np.ndarray, phase_diffusion: float,
 
 
 def simulate_ramsey(delays_us, noise: NoiseModel, shots: int,
-                    seed: int = 0, n_phases: int = 16,
-                    detection_sampling: bool = False) -> np.ndarray:
+                    seed: int = 0) -> np.ndarray:
     """Monte-Carlo single-ion Ramsey contrast per delay.
 
     Each shot draws a frequency offset and a diffusion phase for its delay and
-    contributes one point on a scanned-analysis-phase fringe; the fitted
-    sinusoid amplitude (relative to the 1/2 ideal) is the contrast.  By
-    default the per-shot fringe probability is averaged directly; set
-    ``detection_sampling`` to add binary projection noise.
+    contributes one point on a fringe scanned over 16 analysis phases; the
+    fitted sinusoid amplitude (relative to the 1/2 ideal) is the contrast.
+    The per-shot fringe probability is averaged directly, without binary
+    projection noise.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    phases = np.linspace(0.0, 2.0 * math.pi, n_phases, endpoint=False)
+    phases = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
     out = []
     for tau in np.asarray(delays_us, dtype=float):
         if tau <= 0:
@@ -517,11 +511,10 @@ def simulate_ramsey(delays_us, noise: NoiseModel, shots: int,
                 * rng.standard_normal(shots)
                 + noise.phase_diffusion_rad_per_sqrt_us * math.sqrt(tau)
                 * rng.standard_normal(shots))
-        phi_a = phases[np.arange(shots) % n_phases]
+        phi_a = phases[np.arange(shots) % len(phases)]
         p = 0.5 * (1.0 + np.cos(phi_a + dphi))
-        y = (rng.random(shots) < p).astype(float) if detection_sampling else p
         design = np.column_stack([np.cos(phi_a), np.sin(phi_a),
                                   np.ones(shots)])
-        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+        coef, *_ = np.linalg.lstsq(design, p, rcond=None)
         out.append(min(1.0, 2.0 * math.hypot(coef[0], coef[1])))
     return np.array(out)

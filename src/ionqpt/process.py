@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,8 +106,6 @@ class ProcessFidelityReport:
 
     fidelity: float
     error: float
-    uncertainty: float | None = None
-    imag_residual: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -117,12 +115,12 @@ class CptpDiagnostics:
     trace_deviation: float
     tp_residual: float
 
-    def is_physical(self, tol_eig: float = DEFAULT_TOL.psd_eigenvalue,
-                    tol: float = 1e-6) -> bool:
-        return (self.min_eigenvalue >= -tol_eig
-                and self.hermiticity_deviation <= tol
-                and self.trace_deviation <= tol
-                and self.tp_residual <= tol)
+    def is_physical(self) -> bool:
+        """PSD to -1e-8; Hermitian, unit trace and TP to 1e-6."""
+        return (self.min_eigenvalue >= -DEFAULT_TOL.psd_eigenvalue
+                and self.hermiticity_deviation <= 1e-6
+                and self.trace_deviation <= 1e-6
+                and self.tp_residual <= 1e-6)
 
 
 def identity_chi() -> ProcessMatrix:
@@ -131,10 +129,10 @@ def identity_chi() -> ProcessMatrix:
     return ProcessMatrix(chi)
 
 
-def unitary_to_chi(u: np.ndarray, tol: float = DEFAULT_TOL.unitarity) -> ProcessMatrix:
+def unitary_to_chi(u: np.ndarray) -> ProcessMatrix:
     """Rank-1 chi of the map rho -> U rho U^dag."""
     u = np.asarray(u, dtype=complex)
-    require_unitary(u, tol, name="input unitary")
+    require_unitary(u, name="input unitary")
     c = np.einsum("kab,ba->k", _P, u) / 4.0
     chi = np.outer(c.conj(), c)
     return ProcessMatrix(chi)
@@ -169,8 +167,7 @@ def process_fidelity(chi_exp: ProcessMatrix,
             f"chi_ideal is not rank 1 (second eigenvalue {eigs[-2]:.3e})")
     raw = np.trace(chi_exp.chi @ chi_ideal.chi)
     fid = float(np.clip(raw.real, 0.0, 1.0))
-    return ProcessFidelityReport(fidelity=fid, error=1.0 - fid,
-                                 imag_residual=float(abs(raw.imag)))
+    return ProcessFidelityReport(fidelity=fid, error=1.0 - fid)
 
 
 def _chi_to_superop(chi: np.ndarray) -> np.ndarray:
@@ -189,21 +186,17 @@ def compose(first: ProcessMatrix, second: ProcessMatrix) -> ProcessMatrix:
     return ProcessMatrix(chi)
 
 
-def extract_error_process(chi_meas: ProcessMatrix, u_ideal: np.ndarray,
-                          error_first: bool = True) -> ProcessMatrix:
+def extract_error_process(chi_meas: ProcessMatrix,
+                          u_ideal: np.ndarray) -> ProcessMatrix:
     """Error process chi_tilde with E_meas = U_ideal o E_tilde.
 
-    With ``error_first`` (the default) the error acts before the ideal gate:
-    E_meas(rho) = U E_tilde(rho) U^dag, which makes chi_tilde[II,II] equal the
-    process fidelity versus the ideal gate.  ``error_first=False`` selects the
-    opposite convention E_meas = E_tilde o U_ideal.
+    The error acts before the ideal gate: E_meas(rho) = U E_tilde(rho) U^dag,
+    which makes chi_tilde[II,II] equal the process fidelity versus the ideal
+    gate.
     """
     u_ideal = np.asarray(u_ideal, dtype=complex)
     require_unitary(u_ideal, name="u_ideal")
-    chi_u_dag = unitary_to_chi(u_ideal.conj().T)
-    if error_first:
-        return compose(chi_meas, chi_u_dag)
-    return compose(chi_u_dag, chi_meas)
+    return compose(chi_meas, unitary_to_chi(u_ideal.conj().T))
 
 
 def validate_cptp(chi: ProcessMatrix) -> CptpDiagnostics:
@@ -239,7 +232,7 @@ def chi_choi_roundtrip(chi: ProcessMatrix) -> ProcessMatrix:
 def project_to_physical(chi: np.ndarray) -> np.ndarray:
     """Hermitize, clip negative eigenvalues, renormalize trace to 1."""
     chi = 0.5 * (np.asarray(chi, dtype=complex) + np.asarray(chi).conj().T)
-    chi = nearest_psd(chi, tol=np.inf)
+    chi = nearest_psd(chi)
     tr = chi.trace().real
     if tr <= 0:
         raise ValidationError("chi has nonpositive trace after projection")

@@ -276,19 +276,15 @@ def design_rank(plan: ExperimentPlan) -> int:
 # Serialization
 # ---------------------------------------------------------------------------
 
-def timing_to_dict(t: TimingModel) -> dict:
-    return {
-        "composite_block_us": t.composite_block_us,
-        "pulse_pi_us": t.pulse_pi_us,
-        "process_duration_us": t.process_duration_us,
-        "shot_overhead_ms": t.shot_overhead_ms,
-    }
+def _from_dict(cls, d, what: str):
+    """``cls(**d)`` for a mapping ``d`` whose keys are all fields of ``cls``."""
+    if not isinstance(d, dict):
+        raise ValidationError(f"{what} must be a mapping, got {type(d).__name__}")
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValidationError(f"unknown {what} field(s): {', '.join(unknown)}")
+    return cls(**d)
 
 
 def timing_from_dict(d: dict) -> TimingModel:
-    if not isinstance(d, dict):
-        raise ValidationError(f"timing must be a mapping, got {type(d).__name__}")
-    unknown = sorted(set(d) - {f.name for f in fields(TimingModel)})
-    if unknown:
-        raise ValidationError(f"unknown timing field(s): {', '.join(unknown)}")
-    return TimingModel(**d)
+    return _from_dict(TimingModel, d, "timing")

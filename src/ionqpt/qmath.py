@@ -100,36 +100,34 @@ def unitarity_deviation(u: np.ndarray) -> float:
     return float(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))))
 
 
-def require_unitary(u: np.ndarray, tol: float = DEFAULT_TOL.unitarity,
-                    name: str = "matrix") -> None:
+def require_unitary(u: np.ndarray, name: str = "matrix") -> None:
     dev = unitarity_deviation(u)
-    if dev > tol:
+    if dev > DEFAULT_TOL.unitarity:
         raise ValidationError(
             f"{name} is not unitary: max deviation of U U^dag from I is {dev:.3e}")
 
 
-def matrix_exponential(hermitian_generator: np.ndarray, scale: float,
-                       tol: float = DEFAULT_TOL.hermiticity) -> np.ndarray:
+def matrix_exponential(hermitian_generator: np.ndarray,
+                       scale: float) -> np.ndarray:
     """exp(-i * scale * G) for Hermitian G, computed by eigendecomposition.
 
     Exact to machine precision for the small dimensions used here; the result
     is unitary to ~1e-15.
     """
     g = np.asarray(hermitian_generator, dtype=complex)
-    require_hermitian(g, tol, name="generator")
+    require_hermitian(g, name="generator")
     w, v = np.linalg.eigh(g)
     return (v * np.exp(-1j * scale * w)) @ v.conj().T
 
 
-def nearest_psd(hermitian: np.ndarray,
-                tol: float = DEFAULT_TOL.hermiticity) -> np.ndarray:
+def nearest_psd(hermitian: np.ndarray) -> np.ndarray:
     """Closest positive-semidefinite matrix in Frobenius norm.
 
     Clips negative eigenvalues to zero in the eigenbasis; idempotent on PSD
     inputs.
     """
     h = np.asarray(hermitian, dtype=complex)
-    require_hermitian(h, tol)
+    require_hermitian(h)
     h = 0.5 * (h + h.conj().T)
     w, v = np.linalg.eigh(h)
     w = np.clip(w, 0.0, None)

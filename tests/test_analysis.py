@@ -22,7 +22,7 @@ from ionqpt.analysis import (
     write_series_csv,
 )
 from ionqpt.ionsim import NoiseModel, ProcessSpec, ramsey_contrast_model, simulate_ramsey
-from ionqpt.process import unitary_to_chi
+from ionqpt.process import ProcessMatrix, unitary_to_chi
 from ionqpt.qmath import ValidationError, matrix_exponential, two_qubit_pauli_basis
 
 _XX = two_qubit_pauli_basis()[5]
@@ -78,11 +78,24 @@ def test_bell_fidelity_validation_and_monotonicity():
 # Over-rotation fit
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("theta", [0.1, 0.45, math.pi / 4, 1.04, 1.4])
-def test_fit_over_rotation_exact_on_unitaries(theta):
-    fit = fit_over_rotation(over_rotated_chi(theta))
-    assert abs(fit.theta - theta) < 1e-6
-    assert fit.residual_error < 1e-9
+def _depolarized(theta):
+    return ProcessMatrix(0.9 * over_rotated_chi(theta).chi + 0.1 * np.eye(16) / 16)
+
+
+_ANGLES = (0.1, 0.45, math.pi / 4, 1.04, 1.4)
+
+
+@pytest.mark.parametrize("chi,theta,residual", [
+    *[(over_rotated_chi(t), t, 0.0) for t in _ANGLES],
+    # white noise keeps the angle and lowers F_p to 0.9 + 0.1/16
+    (_depolarized(1.04), 1.04, 0.1 - 0.1 / 16),
+    # past pi/2 the fit stops at the end point, F_p = sin^2(1.7)
+    (over_rotated_chi(1.7), math.pi / 2, math.cos(1.7) ** 2),
+], ids=[*map(str, _ANGLES), "depolarized-1.04", "1.7"])
+def test_fit_over_rotation_exact_on_unitaries(chi, theta, residual):
+    fit = fit_over_rotation(chi)
+    assert abs(fit.theta - theta) < 1e-12
+    assert abs(fit.residual_error - residual) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -141,11 +154,9 @@ def test_mean_occupation_is_additive():
 
 
 def test_truncation_error_raised():
-    with pytest.raises(TruncationError):
-        displaced_thermal_populations(10.0, 5.0, n_max=10)
-    # an adequate explicit n_max works
-    p = displaced_thermal_populations(1.0, 0.5, n_max=63)
-    assert p.sum() == pytest.approx(1.0, abs=1e-6)
+    # mean 1000 fits below 4096 states, but its thermal tail does not
+    with pytest.raises(TruncationError, match="at 4096 Fock states"):
+        displaced_thermal_populations(1000.0, 0.0)
 
 
 def test_populations_validation():

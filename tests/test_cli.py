@@ -187,6 +187,28 @@ def test_reconstruct_bad_timing_exit_2(small_dataset, tmp_path, capsys,
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("block,value", [
+    ("noise", {"bogus": 1.0}),
+    ("process", {"bogus": 1.0}),
+    ("noise", [7.0, 300.0]),
+], ids=["noise-unknown-key", "process-unknown-key", "noise-not-a-mapping"])
+def test_reconstruct_bad_meta_block_exit_2(small_dataset, tmp_path, capsys,
+                                           block, value):
+    with open(small_dataset) as fh:
+        doc = json.load(fh)
+    if isinstance(value, dict):
+        value = {**doc["meta"][block], **value}
+    doc["meta"][block] = value
+    path = str(tmp_path / "bad_meta.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    assert run("reconstruct", path, "--method", "inversion",
+               "-o", str(tmp_path / "chi.json")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # report
 # ---------------------------------------------------------------------------

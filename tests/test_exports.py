@@ -1,0 +1,16 @@
+import importlib
+import pkgutil
+
+import pytest
+
+import ionqpt
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(ionqpt.__path__))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(f"ionqpt.{name}")
+    missing = [n for n in getattr(module, "__all__", ())
+               if not hasattr(module, n)]
+    assert not missing, f"ionqpt.{name}.__all__ names missing objects: {missing}"

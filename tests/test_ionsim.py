@@ -77,7 +77,7 @@ def test_process_spec():
         with pytest.raises(ValidationError):
             ProcessSpec.ms_plus(theta=bad)
         with pytest.raises(ValidationError):
-            ProcessSpec.delay(duration_us=bad)
+            ProcessSpec("delay", duration_us=bad)
     np.testing.assert_allclose(ProcessSpec.identity().ideal_unitary(),
                                np.eye(4), atol=1e-15)
     u = ms.ideal_unitary()

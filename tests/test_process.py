@@ -133,14 +133,6 @@ def test_extract_error_process_identity_element_is_fidelity():
     np.testing.assert_allclose(perfect.chi, identity_chi().chi, atol=1e-12)
 
 
-def test_extract_error_process_order_flag():
-    u_ideal = ms_unitary()
-    chi_meas = unitary_to_chi(random_unitary(4) @ u_ideal)
-    after = extract_error_process(chi_meas, u_ideal, error_first=False)
-    np.testing.assert_allclose(after.chi, unitary_to_chi(random_unitary(4)).chi,
-                               atol=1e-10)
-
-
 def test_validate_cptp_diagnostics():
     diag = validate_cptp(unitary_to_chi(ms_unitary()))
     assert diag.is_physical()
