@@ -31,7 +31,7 @@ def main():
     ideal = ms_chi(math.pi / 4)
     print(f"  {'theta':>8}  {'F_p':>8}  {'cos^2(theta-pi/4)':>18}")
     for theta in (math.pi / 4, 0.9, 1.04, 1.2):
-        f = process_fidelity(ms_chi(theta), ideal).fidelity
+        f = process_fidelity(ms_chi(theta), ideal)
         oracle = math.cos(theta - math.pi / 4) ** 2
         print(f"  {theta:8.4f}  {f:8.5f}  {oracle:18.5f}")
 

@@ -30,7 +30,7 @@ def reconstruct(process, noise):
     chi, result = mle_reconstruct(dataset)
     t_mle = time.monotonic() - t0
 
-    err = 1.0 - process_fidelity(chi, process.ideal_chi()).fidelity
+    err = 1.0 - process_fidelity(chi, process.ideal_chi())
     print(f"{process.label:>8}: simulated {SHOTS * 256} shots in {t_sim:.0f}s; "
           f"raw inversion min eigenvalue {inv_diag.min_eigenvalue:+.4f} "
           f"({'unphysical' if not inv_diag.physical else 'physical'})")

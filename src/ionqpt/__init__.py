@@ -5,8 +5,6 @@ addressing noise model, reconstructs 16x16 process matrices by CPTP-constrained
 maximum likelihood, and provides gate-error and motional-thermometry analyses.
 """
 from .qmath import (
-    DEFAULT_TOL,
-    Tolerances,
     ValidationError,
     matrix_exponential,
     nearest_psd,
@@ -15,10 +13,8 @@ from .qmath import (
 )
 from .process import (
     CptpDiagnostics,
-    ProcessFidelityReport,
     ProcessMatrix,
     apply_process,
-    chi_choi_roundtrip,
     chi_to_choi,
     choi_to_chi,
     compose,

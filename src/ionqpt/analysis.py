@@ -70,10 +70,6 @@ class ParityScan:
     p0: np.ndarray
     p_amp: float
 
-    @property
-    def parity(self) -> np.ndarray:
-        return self.p2 + self.p0 - self.p1
-
 
 def _output_populations(chi: ProcessMatrix, analysis_phase: float | None
                         ) -> tuple[float, float, float]:
@@ -167,7 +163,7 @@ def fit_over_rotation(chi_meas: ProcessMatrix) -> OverRotationFit:
     chi_t = unitary_to_chi(matrix_exponential(_XX, theta))
     return OverRotationFit(
         theta=theta,
-        residual_error=1.0 - process_fidelity(chi_meas, chi_t).fidelity)
+        residual_error=1.0 - process_fidelity(chi_meas, chi_t))
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +444,9 @@ def read_series_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
                 x, y = float(row[0]), float(row[1])
             except ValueError:
                 continue  # header line
+            except IndexError:
+                raise ValidationError(
+                    f"row {row!r} has fewer than two columns") from None
             xs.append(x)
             ys.append(y)
     return np.array(xs), np.array(ys)

@@ -61,6 +61,25 @@ class InputError(Exception):
     """A problem with user-supplied arguments or files (exit code 2)."""
 
 
+def _read(what: str, path: str, parse):
+    """``parse(path)``; a file that cannot be read or parsed is an InputError.
+
+    Wrongly typed JSON surfaces as TypeError or KeyError from the parsers,
+    and ``ValidationError`` is a ``ValueError``.
+    """
+    try:
+        return parse(path)
+    except OSError as exc:
+        raise InputError(f"cannot read {what} {path!r}: {exc}") from exc
+    except (ValueError, TypeError, KeyError) as exc:
+        raise InputError(f"invalid {what} {path!r}: {exc}") from exc
+
+
+def _load_noise_file(path: str) -> NoiseModel:
+    with open(path) as fh:
+        return NoiseModel.from_dict(json.load(fh))
+
+
 def _noise_from_arg(arg: str) -> NoiseModel:
     """Accepts the shorthands none | default | paper, or a JSON file path."""
     if arg == "none":
@@ -69,13 +88,7 @@ def _noise_from_arg(arg: str) -> NoiseModel:
         return NoiseModel()
     if arg == "paper":
         return NoiseModel.paper_study()
-    try:
-        with open(arg) as fh:
-            return NoiseModel.from_dict(json.load(fh))
-    except OSError as exc:
-        raise InputError(f"cannot read noise file {arg!r}: {exc}") from exc
-    except (ValueError, TypeError, KeyError) as exc:
-        raise InputError(f"invalid noise file {arg!r}: {exc}") from exc
+    return _read("noise file", arg, _load_noise_file)
 
 
 # Process label -> ProcessSpec, given the --theta argument (read by ms_plus).
@@ -88,23 +101,13 @@ _PROCESSES = {
 
 
 def _load_dataset(path: str) -> ShotDataset:
-    try:
-        return ShotDataset.load(path)
-    except OSError as exc:
-        raise InputError(f"cannot read dataset {path!r}: {exc}") from exc
-    except (ValueError, KeyError, ValidationError) as exc:
-        raise InputError(f"invalid dataset {path!r}: {exc}") from exc
+    return _read("dataset", path, ShotDataset.load)
 
 
 def _load_chi(path: str) -> ProcessMatrix:
-    try:
-        # Parse-only: reports on unphysical (e.g. linear-inversion) matrices
-        # are allowed; physicality lives in the reconstruct diagnostics.
-        return load_chi(path, validate=False)
-    except OSError as exc:
-        raise InputError(f"cannot read chi file {path!r}: {exc}") from exc
-    except (ValueError, KeyError, ValidationError) as exc:
-        raise InputError(f"invalid chi file {path!r}: {exc}") from exc
+    # Parse-only: reports on unphysical (e.g. linear-inversion) matrices are
+    # allowed; physicality lives in the reconstruct diagnostics.
+    return _read("chi file", path, lambda p: load_chi(p, validate=False))
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +183,8 @@ def _write_amplitude_csvs(prefix: str, chi: ProcessMatrix) -> None:
 def cmd_report(args) -> int:
     chi = _load_chi(args.chi)
     ideal = _PROCESSES[args.ideal](args.theta)
-    rep = process_fidelity(chi, ideal.ideal_chi())
-    print(f"F_p = {rep.fidelity:.6f}  (process error {100 * (1 - rep.fidelity):.2f}%)")
+    fid = process_fidelity(chi, ideal.ideal_chi())
+    print(f"F_p = {fid:.6f}  (process error {100 * (1 - fid):.2f}%)")
     status = EXIT_OK
     if args.dataset is not None:
         dataset = _load_dataset(args.dataset)
@@ -263,12 +266,7 @@ def cmd_ramsey(args) -> int:
 
 
 def cmd_heating(args) -> int:
-    try:
-        times, signal = read_series_csv(args.input)
-    except OSError as exc:
-        raise InputError(f"cannot read series {args.input!r}: {exc}") from exc
-    except (ValueError, ValidationError) as exc:
-        raise InputError(f"invalid series {args.input!r}: {exc}") from exc
+    times, signal = _read("series", args.input, read_series_csv)
     try:
         occ, cov = fit_heating(times, signal, eta=args.eta)
     except FitError as exc:

@@ -161,11 +161,9 @@ class ProcessSpec:
         return _from_dict(cls, d, "process")
 
 
-def plan_for_process(process: ProcessSpec, shots: int = 500,
-                     timing: TimingModel | None = None) -> ExperimentPlan:
+def plan_for_process(process: ProcessSpec, shots: int = 500) -> ExperimentPlan:
     """Canonical plan whose process window matches the given process."""
-    return build_plan(process_duration_us=process.duration_us, shots=shots,
-                      timing=timing)
+    return build_plan(process_duration_us=process.duration_us, shots=shots)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,12 @@ chi[m, n] = conj(c_m) * c_n, so the ideal Molmer-Sorensen propagator
 exp(-i pi/4 X1X2) carries chi[II,II] = chi[XX,XX] = 1/2, chi[XX,II] = i/2 and
 chi[II,XX] = -i/2.  Trace preservation is equivalent to Tr(chi) = 1.
 
-The Choi matrix used internally (and by the MLE) is ordered input (x) output:
-J = sum_ij |i><j| (x) E(|i><j|), so probabilities are Tr[J (rho^T (x) M)].
+The Choi matrix J is the one other form of a map, ordered input (x) output:
+J = sum_ij |i><j| (x) E(|i><j|), so probabilities are Tr[J (rho^T (x) M)],
+E(rho) = Tr_in[J (rho^T (x) I)] and trace preservation is Tr_out J = I.
+``compose`` reshuffles J into the column-stacking superoperator, in which
+composition is a matrix product; the reshuffle is its own inverse (Wood,
+Biamonte & Cory, QIC 15, 759 (2015)).
 """
 from __future__ import annotations
 
@@ -23,7 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qmath import (
-    DEFAULT_TOL,
+    HERMITICITY_TOL,
+    PSD_EIGENVALUE_TOL,
+    TRACE_TOL,
     ValidationError,
     hermiticity_deviation,
     nearest_psd,
@@ -35,7 +41,6 @@ from .qmath import (
 
 __all__ = [
     "ProcessMatrix",
-    "ProcessFidelityReport",
     "CptpDiagnostics",
     "identity_chi",
     "unitary_to_chi",
@@ -46,7 +51,6 @@ __all__ = [
     "validate_cptp",
     "chi_to_choi",
     "choi_to_chi",
-    "chi_choi_roundtrip",
     "chi_to_json_dict",
     "chi_from_json_dict",
     "save_chi",
@@ -61,10 +65,6 @@ _P = two_qubit_pauli_basis()
 _OMEGA = np.eye(4, dtype=complex).reshape(16)
 _V = np.stack([np.kron(np.eye(4, dtype=complex), _P[n]) @ _OMEGA
                for n in range(16)], axis=1)
-
-# W[m, n] = conj(P_m) (x) P_n: the column-stacking superoperator of the
-# elementary map rho -> P_n rho P_m^dag.
-_W = np.einsum("mab,ncd->mnacbd", _P.conj(), _P).reshape(16, 16, 16, 16)
 
 CHI_CONVENTION = "unnormalized-pauli-trace-one"
 
@@ -84,13 +84,13 @@ class ProcessMatrix:
         if chi.shape != (16, 16):
             raise ValidationError(f"chi must be 16x16, got {chi.shape}")
         if validate:
-            require_hermitian(chi, DEFAULT_TOL.hermiticity, name="chi")
+            require_hermitian(chi, HERMITICITY_TOL, name="chi")
             min_eig = float(np.linalg.eigvalsh(0.5 * (chi + chi.conj().T))[0])
-            if min_eig < -DEFAULT_TOL.psd_eigenvalue:
+            if min_eig < -PSD_EIGENVALUE_TOL:
                 raise ValidationError(
                     f"chi has negative eigenvalue {min_eig:.3e}")
             tr_dev = abs(chi.trace() - 1.0)
-            if tr_dev > DEFAULT_TOL.trace:
+            if tr_dev > TRACE_TOL:
                 raise ValidationError(
                     f"chi trace deviates from 1 by {tr_dev:.3e}")
         chi.setflags(write=False)
@@ -98,14 +98,6 @@ class ProcessMatrix:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"ProcessMatrix(trace={self.chi.trace():.6f})"
-
-
-@dataclass(frozen=True)
-class ProcessFidelityReport:
-    """Process fidelity versus a rank-1 (unitary) target."""
-
-    fidelity: float
-    error: float
 
 
 @dataclass(frozen=True)
@@ -117,7 +109,7 @@ class CptpDiagnostics:
 
     def is_physical(self) -> bool:
         """PSD to -1e-8; Hermitian, unit trace and TP to 1e-6."""
-        return (self.min_eigenvalue >= -DEFAULT_TOL.psd_eigenvalue
+        return (self.min_eigenvalue >= -PSD_EIGENVALUE_TOL
                 and self.hermiticity_deviation <= 1e-6
                 and self.trace_deviation <= 1e-6
                 and self.tp_residual <= 1e-6)
@@ -142,48 +134,63 @@ def _require_density_matrix(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValidationError(f"density matrix must be 4x4, got {rho.shape}")
-    require_hermitian(rho, DEFAULT_TOL.trace, name="density matrix")
-    if abs(rho.trace() - 1.0) > DEFAULT_TOL.trace:
+    require_hermitian(rho, TRACE_TOL, name="density matrix")
+    if abs(rho.trace() - 1.0) > TRACE_TOL:
         raise ValidationError(
             f"density matrix trace deviates from 1 by {abs(rho.trace() - 1):.3e}")
-    if np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0] < -DEFAULT_TOL.trace:
+    if np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0] < -TRACE_TOL:
         raise ValidationError("density matrix has a negative eigenvalue")
     return rho
 
 
 def apply_process(chi: ProcessMatrix, rho: np.ndarray) -> np.ndarray:
-    """E(rho) = sum_mn chi[m,n] P_n rho P_m^dag."""
+    """E(rho) = sum_ij rho[i, j] J[(i, a), (j, b)], read off the Choi matrix."""
     rho = _require_density_matrix(rho)
-    pn_rho = np.einsum("nab,bc->nac", _P, rho)
-    return np.einsum("mn,nac,mdc->ad", chi.chi, pn_rho, _P.conj())
+    j = chi_to_choi(chi.chi).reshape(4, 4, 4, 4)
+    return np.einsum("ij,iajb->ab", rho, j)
+
+
+class _Fidelity(float):
+    """A float that also reads as ``.fidelity``, the spelling that
+    ``tests/test_acceptance.py`` (kept unchanged) uses."""
+
+    @property
+    def fidelity(self) -> float:
+        return float(self)
 
 
 def process_fidelity(chi_exp: ProcessMatrix,
-                     chi_ideal: ProcessMatrix) -> ProcessFidelityReport:
+                     chi_ideal: ProcessMatrix) -> float:
     """F_p = Tr(chi_exp chi_ideal), clamped to [0, 1]; target must be rank 1."""
     eigs = np.linalg.eigvalsh(chi_ideal.chi)
     if eigs[-2] > 1e-6:
         raise ValidationError(
             f"chi_ideal is not rank 1 (second eigenvalue {eigs[-2]:.3e})")
     raw = np.trace(chi_exp.chi @ chi_ideal.chi)
-    fid = float(np.clip(raw.real, 0.0, 1.0))
-    return ProcessFidelityReport(fidelity=fid, error=1.0 - fid)
+    return _Fidelity(np.clip(raw.real, 0.0, 1.0))
 
 
-def _chi_to_superop(chi: np.ndarray) -> np.ndarray:
-    return np.einsum("mn,mnab->ab", chi, _W)
+def _partial_trace_out(g: np.ndarray) -> np.ndarray:
+    """Tr_out of a 16x16 operator on input (x) output."""
+    return np.einsum("iaja->ij", g.reshape(4, 4, 4, 4))
 
 
-def _superop_to_chi(s: np.ndarray) -> np.ndarray:
-    return np.einsum("mnba,ba->mn", _W.conj(), s) / 16.0
+def _reshuffle(m: np.ndarray) -> np.ndarray:
+    """Choi matrix J (input (x) output) <-> column-stacking superoperator S,
+    S[(b, a), (j, i)] = J[(i, a), (j, b)]; the map is its own inverse."""
+    return m.reshape(4, 4, 4, 4).transpose(3, 1, 2, 0).reshape(16, 16)
 
 
 def compose(first: ProcessMatrix, second: ProcessMatrix) -> ProcessMatrix:
-    """chi of rho -> E_second(E_first(rho)), via the superoperator product."""
-    s = _chi_to_superop(second.chi) @ _chi_to_superop(first.chi)
-    chi = _superop_to_chi(s)
-    chi = 0.5 * (chi + chi.conj().T)
-    return ProcessMatrix(chi)
+    """chi of rho -> E_second(E_first(rho)), via the superoperator product.
+
+    The result is not validated, so that an unphysical input (raw linear
+    inversion) stays reportable; two CPTP inputs give a CPTP result.
+    """
+    s = (_reshuffle(chi_to_choi(second.chi))
+         @ _reshuffle(chi_to_choi(first.chi)))
+    chi = choi_to_chi(_reshuffle(s))
+    return ProcessMatrix(0.5 * (chi + chi.conj().T), validate=False)
 
 
 def extract_error_process(chi_meas: ProcessMatrix,
@@ -206,9 +213,8 @@ def validate_cptp(chi: ProcessMatrix) -> CptpDiagnostics:
     ch = 0.5 * (c + c.conj().T)
     min_eig = float(np.linalg.eigvalsh(ch)[0])
     tr_dev = float(abs(c.trace() - 1.0))
-    # Trace preservation: sum_mn chi[m,n] P_m^dag P_n = I.
-    tp = np.einsum("mn,mab,nbc->ac", c, _P.conj().transpose(0, 2, 1), _P)
-    tp_res = float(np.max(np.abs(tp - np.eye(4))))
+    tp_res = float(np.max(np.abs(_partial_trace_out(chi_to_choi(c))
+                                 - np.eye(4))))
     return CptpDiagnostics(min_eigenvalue=min_eig, hermiticity_deviation=herm,
                            trace_deviation=tr_dev, tp_residual=tp_res)
 
@@ -222,11 +228,6 @@ def chi_to_choi(chi: np.ndarray) -> np.ndarray:
 def choi_to_chi(choi: np.ndarray) -> np.ndarray:
     choi = np.asarray(choi, dtype=complex)
     return (_V.conj().T @ choi @ _V / 16.0).T
-
-
-def chi_choi_roundtrip(chi: ProcessMatrix) -> ProcessMatrix:
-    """chi -> Choi -> chi; identity within 1e-10 by construction."""
-    return ProcessMatrix(choi_to_chi(chi_to_choi(chi.chi)))
 
 
 def project_to_physical(chi: np.ndarray) -> np.ndarray:
@@ -254,6 +255,8 @@ def chi_to_json_dict(chi: ProcessMatrix | np.ndarray) -> dict:
 
 
 def chi_from_json_dict(doc: dict, validate: bool = True) -> ProcessMatrix:
+    if not isinstance(doc, dict):
+        raise ValidationError("chi document must be a JSON object")
     if doc.get("convention") != CHI_CONVENTION:
         raise ValidationError(
             f"unsupported chi convention {doc.get('convention')!r}")

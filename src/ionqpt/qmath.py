@@ -7,14 +7,14 @@ matrix).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
     "ValidationError",
-    "Tolerances",
-    "DEFAULT_TOL",
+    "HERMITICITY_TOL",
+    "UNITARITY_TOL",
+    "TRACE_TOL",
+    "PSD_EIGENVALUE_TOL",
     "PAULI_LABELS_1Q",
     "pauli_labels_2q",
     "two_qubit_pauli_basis",
@@ -31,17 +31,11 @@ class ValidationError(ValueError):
     """A matrix or parameter failed a structural precondition."""
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Absolute tolerances on max-entry deviations used across the package."""
-
-    hermiticity: float = 1e-10
-    unitarity: float = 1e-10
-    trace: float = 1e-8
-    psd_eigenvalue: float = 1e-8
-
-
-DEFAULT_TOL = Tolerances()
+# Absolute tolerances on max-entry deviations used across the package.
+HERMITICITY_TOL = 1e-10
+UNITARITY_TOL = 1e-10
+TRACE_TOL = 1e-8
+PSD_EIGENVALUE_TOL = 1e-8
 
 PAULI_LABELS_1Q = ("I", "X", "Y", "Z")
 
@@ -87,7 +81,7 @@ def hermiticity_deviation(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T)))
 
 
-def require_hermitian(m: np.ndarray, tol: float = DEFAULT_TOL.hermiticity,
+def require_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL,
                       name: str = "matrix") -> None:
     dev = hermiticity_deviation(m)
     if dev > tol:
@@ -102,7 +96,7 @@ def unitarity_deviation(u: np.ndarray) -> float:
 
 def require_unitary(u: np.ndarray, name: str = "matrix") -> None:
     dev = unitarity_deviation(u)
-    if dev > DEFAULT_TOL.unitarity:
+    if dev > UNITARITY_TOL:
         raise ValidationError(
             f"{name} is not unitary: max deviation of U U^dag from I is {dev:.3e}")
 

@@ -13,9 +13,9 @@ Lambda = (Tr_out[R_d J R_d])^(1/2) (x) I enforces trace preservation each
 step.  Only P2 enters the likelihood; P1/P0 counts are ignored by design.
 
 The dilution d adapts as in Rehacek, Hradil, Knill & Lvovsky, PRA 75, 042108
-(2007): it starts at ``MleConfig.dilution`` and grows x1.1, up to 1, after
-each step that raises log L; a larger trial that would lower log L is
-dropped for the step at the base dilution.  Every 10 iterations the solve
+(2007): it starts at 1/2 and grows x1.1, up to 1, after each step that
+raises log L; a larger trial that would lower log L is dropped for the step
+at the base dilution.  Every 10 iterations the solve
 checks the duality gap 4 lambda_max(R - Lambda_0 (x) I), Lambda_0 =
 herm Tr_out(R J).  log L is concave and Tr(R J') <= Tr Lambda for every CPTP
 J' once Lambda (x) I >= R, so the gap bounds log L* - log L(J) over all CPTP
@@ -40,13 +40,14 @@ import numpy as np
 from .ionsim import ShotDataset
 from .process import (
     ProcessMatrix,
+    _partial_trace_out,
     choi_to_chi,
     process_fidelity,
     project_to_physical,
     unitary_to_chi,
 )
 from .protocol import effect_matrix, inversion_map
-from .qmath import ValidationError
+from .qmath import PSD_EIGENVALUE_TOL, ValidationError
 
 __all__ = [
     "IdentifiabilityError",
@@ -72,18 +73,12 @@ class MleConfig:
 
     max_iterations: int = 20000
     gap_tolerance: float = 1e-3  # nats
-    dilution: float = 0.5
-    epsilon_probability_floor: float = 1e-12
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValidationError("max_iterations must be >= 1")
         if not (0.0 < self.gap_tolerance < math.inf):
             raise ValidationError("gap_tolerance must be finite and > 0")
-        if not (0.0 < self.dilution <= 1.0):
-            raise ValidationError("dilution must be in (0, 1]")
-        if not (0.0 < self.epsilon_probability_floor < 0.5):
-            raise ValidationError("epsilon_probability_floor must be in (0, 0.5)")
 
 
 @dataclass
@@ -109,7 +104,7 @@ class LinearInversionDiagnostics:
 
     @property
     def physical(self) -> bool:
-        return self.min_eigenvalue >= -1e-8
+        return self.min_eigenvalue >= -PSD_EIGENVALUE_TOL
 
 
 @dataclass
@@ -142,10 +137,14 @@ def linear_inversion(dataset: ShotDataset
 
 _EYE4 = np.eye(4)
 _EYE16 = np.eye(16)
+# Predicted probabilities are clipped to [floor, 1 - floor] so that log L
+# stays finite.
+_PROBABILITY_FLOOR = 1e-12
 # Adaptive dilution: after each step that raises log L the dilution grows by
 # this factor, up to the cap; a larger trial that lowers log L is replaced by
-# the step at MleConfig.dilution, from where the growth starts again.  With
+# the step at the base dilution, from where the growth starts again.  With
 # d <= 1, R_d = (1 - d) I + d R_hat is a convex mix of two PSD operators.
+_DILUTION_BASE = 0.5
 _DILUTION_GROWTH = 1.1
 _DILUTION_CAP = 1.0
 _GAP_CHECK_EVERY = 10
@@ -154,10 +153,6 @@ _GAP_CHECK_EVERY = 10
 def _kron_eye4(m: np.ndarray) -> np.ndarray:
     """kron(m, I_4) of a 4x4 matrix."""
     return (m[:, None, :, None] * _EYE4[None, :, None, :]).reshape(16, 16)
-
-
-def _partial_trace_out(g: np.ndarray) -> np.ndarray:
-    return np.einsum("iaja->ij", g.reshape(4, 4, 4, 4))
 
 
 def _psd_sqrt_inv(m: np.ndarray) -> np.ndarray:
@@ -182,7 +177,7 @@ def _duality_gap(r: np.ndarray, j: np.ndarray) -> float:
     return 4.0 * float(np.linalg.eigvalsh(r - _kron_eye4(lam0))[-1])
 
 
-def _likelihood(dataset: ShotDataset, eps: float):
+def _likelihood(dataset: ShotDataset):
     """The dataset's ``evaluate(J) -> (p, log L)`` and ``gradient(p) -> R``."""
     shots = dataset.plan.shots_per_sequence
     n2 = dataset.n2
@@ -192,7 +187,8 @@ def _likelihood(dataset: ShotDataset, eps: float):
     def evaluate(j: np.ndarray) -> tuple[np.ndarray, float]:
         # j is C-contiguous complex, so its float view is vec J with Re and
         # Im interleaved, the column order of ``forward``.
-        p = np.clip(forward @ j.view(float).ravel(), eps, 1.0 - eps)
+        p = np.clip(forward @ j.view(float).ravel(), _PROBABILITY_FLOOR,
+                    1.0 - _PROBABILITY_FLOOR)
         return p, float(n2 @ np.log(p) + n_other @ np.log1p(-p))
 
     def gradient(p: np.ndarray) -> np.ndarray:
@@ -207,10 +203,10 @@ def _mle_choi(dataset: ShotDataset, config: MleConfig
               ) -> tuple[np.ndarray, list[float], float]:
     """Run the iteration; returns the last Choi matrix J, the log-likelihood
     of every accepted iterate up to and including J, and J's duality gap."""
-    evaluate, gradient = _likelihood(dataset, config.epsilon_probability_floor)
+    evaluate, gradient = _likelihood(dataset)
     # Balance scales so that Tr(R_hat J) = Tr(I J) = 4 at the current J.
     scale = 4.0 / (dataset.plan.shots_per_sequence * dataset.plan.n_sequences)
-    d = config.dilution
+    d = _DILUTION_BASE
     j = np.eye(16, dtype=complex) / 4.0  # maximally mixed, trivially CPTP
     p, log_l = evaluate(j)
     log_ls = [log_l]
@@ -224,8 +220,8 @@ def _mle_choi(dataset: ShotDataset, config: MleConfig
         r_hat = scale * r
         trial = _dilute_step(j, r_hat, d)
         p_trial, log_trial = evaluate(trial)
-        if log_trial < log_l and d > config.dilution:
-            d = config.dilution
+        if log_trial < log_l and d > _DILUTION_BASE:
+            d = _DILUTION_BASE
             trial = _dilute_step(j, r_hat, d)
             p_trial, log_trial = evaluate(trial)
         if log_trial > log_l:
@@ -282,7 +278,7 @@ def bootstrap_fidelity(dataset: ShotDataset, config: MleConfig | None,
     results: list[MleResult] = []
     samples = bootstrap_statistic(
         dataset, config,
-        lambda chi: process_fidelity(chi, chi_ideal).fidelity,
+        lambda chi: process_fidelity(chi, chi_ideal),
         replicas, seed, results)
     return BootstrapReport(replicas=replicas, fidelity_samples=samples,
                            std=float(np.std(samples, ddof=1)),

@@ -187,18 +187,23 @@ def test_reconstruct_bad_timing_exit_2(small_dataset, tmp_path, capsys,
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("block,value", [
-    ("noise", {"bogus": 1.0}),
-    ("process", {"bogus": 1.0}),
-    ("noise", [7.0, 300.0]),
-], ids=["noise-unknown-key", "process-unknown-key", "noise-not-a-mapping"])
+# Each edit changes the dataset document in place, or returns a replacement.
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc["meta"]["noise"].update(bogus=1.0),
+    lambda doc: doc["meta"]["process"].update(bogus=1.0),
+    lambda doc: doc["meta"].update(noise=[7.0, 300.0]),
+    lambda doc: [doc],
+    lambda doc: doc["records"].__setitem__(0, [0, 10.0]),
+    lambda doc: doc["meta"]["noise"].update(drift_hz_per_min="x"),
+    lambda doc: doc["meta"]["process"].pop("label") and None,
+], ids=["noise-unknown-key", "process-unknown-key", "noise-not-a-mapping",
+        "top-level-list", "record-not-a-mapping", "noise-value-not-a-number",
+        "process-without-label"])
 def test_reconstruct_bad_meta_block_exit_2(small_dataset, tmp_path, capsys,
-                                           block, value):
+                                           edit):
     with open(small_dataset) as fh:
         doc = json.load(fh)
-    if isinstance(value, dict):
-        value = {**doc["meta"][block], **value}
-    doc["meta"][block] = value
+    doc = edit(doc) or doc
     path = str(tmp_path / "bad_meta.json")
     with open(path, "w") as fh:
         json.dump(doc, fh)
@@ -264,6 +269,27 @@ def test_report_unconverged_bootstrap_warns(small_dataset, tmp_path, capsys,
 def test_report_missing_chi_exit_2(tmp_path):
     assert run("report", str(tmp_path / "nope.json"),
                "-o", str(tmp_path / "rep")) == 2
+
+
+def test_report_chi_not_a_mapping_exit_2(tmp_path, capsys):
+    chi_path = str(tmp_path / "chi.json")
+    with open(chi_path, "w") as fh:
+        json.dump([1, 2], fh)
+    assert run("report", chi_path, "-o", str(tmp_path / "rep")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
+def test_report_on_unphysical_inversion_chi(small_dataset, tmp_path):
+    chi_path = str(tmp_path / "chi.json")
+    assert run("reconstruct", small_dataset, "--method", "inversion",
+               "-o", chi_path) == 0
+    assert np.linalg.eigvalsh(load_chi(chi_path, validate=False).chi)[0] < -0.1
+    prefix = str(tmp_path / "rep")
+    assert run("report", chi_path, "--ideal", "ms_plus", "-o", prefix) == 0
+    for part in ("_re", "_im", "_error_re", "_error_im"):
+        assert len(open(prefix + part + ".csv").read().splitlines()) == 17
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +372,16 @@ def test_heating_nan_row_exit_2(tmp_path, capsys):
     with open(csv_path, "w") as fh:
         fh.write("time_us,signal\n")
         fh.writelines(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(t, y))
+    assert run("heating", csv_path, "-o", str(tmp_path / "h.json")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
+def test_heating_one_column_row_exit_2(tmp_path, capsys):
+    csv_path = str(tmp_path / "sb.csv")
+    with open(csv_path, "w") as fh:
+        fh.write("time_us,signal\n2.0,0.1\n1.0\n")
     assert run("heating", csv_path, "-o", str(tmp_path / "h.json")) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")

@@ -6,7 +6,6 @@ import pytest
 from ionqpt.process import (
     ProcessMatrix,
     apply_process,
-    chi_choi_roundtrip,
     chi_from_json_dict,
     chi_to_choi,
     chi_to_json_dict,
@@ -37,6 +36,35 @@ def random_unitary(seed):
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     q, r = np.linalg.qr(a)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_cptp_chi(seed, rank=4):
+    """chi of a channel whose Kraus operators are the 4x4 blocks of a random
+    (4 rank)x4 isometry."""
+    rng = np.random.default_rng(seed)
+    a = (rng.standard_normal((4 * rank, 4))
+         + 1j * rng.standard_normal((4 * rank, 4)))
+    kraus = np.linalg.qr(a)[0].reshape(rank, 4, 4)
+    c = np.einsum("kab,mba->km", kraus, _P) / 4.0  # K_k = sum_m c_km P_m
+    return ProcessMatrix(np.einsum("km,kn->mn", c.conj(), c))
+
+
+def random_density_matrix(seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    rho = a @ a.conj().T
+    return rho / rho.trace()
+
+
+def pauli_sum_apply(chi, rho):
+    """Reference E(rho) = sum_mn chi[m,n] P_n rho P_m^dag."""
+    return np.einsum("mn,nab,bc,mdc->ad", chi.chi, _P, rho, _P.conj())
+
+
+def pauli_sum_tp_residual(chi):
+    """Reference max |sum_mn chi[m,n] P_m^dag P_n - I|."""
+    tp = np.einsum("mn,mba,nbc->ac", chi.chi, _P.conj(), _P)
+    return float(np.max(np.abs(tp - np.eye(4))))
 
 
 def test_identity_chi_structure():
@@ -85,6 +113,15 @@ def test_apply_process_matches_conjugation():
     assert out[3, 3].real == pytest.approx(0.5, abs=1e-12)
 
 
+def test_apply_process_matches_pauli_sum():
+    for seed in range(10):
+        chi = random_cptp_chi(seed)
+        rho = random_density_matrix(100 + seed)
+        np.testing.assert_allclose(apply_process(chi, rho),
+                                   pauli_sum_apply(chi, rho),
+                                   rtol=0, atol=1e-12)
+
+
 def test_apply_process_rejects_bad_density_matrix():
     chi = identity_chi()
     with pytest.raises(ValidationError):
@@ -93,9 +130,7 @@ def test_apply_process_rejects_bad_density_matrix():
 
 def test_process_fidelity_and_rank1_requirement():
     chi = unitary_to_chi(ms_unitary())
-    rep = process_fidelity(chi, chi)
-    assert rep.fidelity == pytest.approx(1.0, abs=1e-12)
-    assert rep.error == pytest.approx(0.0, abs=1e-12)
+    assert process_fidelity(chi, chi) == pytest.approx(1.0, abs=1e-12)
     mixed = ProcessMatrix(np.eye(16, dtype=complex) / 16.0)
     with pytest.raises(ValidationError):
         process_fidelity(chi, mixed)
@@ -105,7 +140,7 @@ def test_fidelity_of_over_rotation_is_cos_squared():
     theta = 1.04
     chi = unitary_to_chi(ms_unitary(theta))
     ideal = unitary_to_chi(ms_unitary())
-    f = process_fidelity(chi, ideal).fidelity
+    f = process_fidelity(chi, ideal)
     assert f == pytest.approx(math.cos(theta - math.pi / 4) ** 2, abs=1e-12)
 
 
@@ -114,6 +149,13 @@ def test_compose_unitaries():
     chained = compose(unitary_to_chi(u), unitary_to_chi(v))
     direct = unitary_to_chi(v @ u)
     np.testing.assert_allclose(chained.chi, direct.chi, atol=1e-10)
+    # general channels: the composite acts as the first map, then the second
+    for seed in range(10):
+        a, b = random_cptp_chi(seed), random_cptp_chi(50 + seed, rank=2)
+        rho = random_density_matrix(100 + seed)
+        np.testing.assert_allclose(
+            apply_process(compose(a, b), rho),
+            apply_process(b, apply_process(a, rho)), rtol=0, atol=1e-12)
 
 
 def test_compose_with_inverse_gives_identity():
@@ -126,7 +168,7 @@ def test_extract_error_process_identity_element_is_fidelity():
     u_ideal = ms_unitary()
     chi_meas = unitary_to_chi(ms_unitary(1.04))
     err = extract_error_process(chi_meas, u_ideal)
-    f = process_fidelity(chi_meas, unitary_to_chi(u_ideal)).fidelity
+    f = process_fidelity(chi_meas, unitary_to_chi(u_ideal))
     assert err.chi[0, 0].real == pytest.approx(f, abs=1e-10)
     # perfect gate -> identity error process
     perfect = extract_error_process(unitary_to_chi(u_ideal), u_ideal)
@@ -142,15 +184,23 @@ def test_validate_cptp_diagnostics():
     diag = validate_cptp(ProcessMatrix(lossy, validate=False))
     assert not diag.is_physical()
     assert diag.tp_residual > 0.1
+    for seed in range(10):
+        chi = random_cptp_chi(seed)
+        assert validate_cptp(chi).is_physical()
+        assert validate_cptp(chi).tp_residual == pytest.approx(
+            pauli_sum_tp_residual(chi), abs=1e-12)
+        d = np.diag([1.0] + [1.3] * 15)
+        not_tp = ProcessMatrix(d @ chi.chi @ d, validate=False)
+        assert validate_cptp(not_tp).tp_residual == pytest.approx(
+            pauli_sum_tp_residual(not_tp), abs=1e-12)
 
 
-def test_chi_choi_roundtrip_and_trace():
+def test_chi_choi_round_trip_and_trace():
     chi = unitary_to_chi(ms_unitary())
     choi = chi_to_choi(chi.chi)
     assert choi.trace().real == pytest.approx(4.0, abs=1e-10)
     assert np.linalg.eigvalsh(choi)[0] > -1e-10
     np.testing.assert_allclose(choi_to_chi(choi), chi.chi, atol=1e-12)
-    np.testing.assert_allclose(chi_choi_roundtrip(chi).chi, chi.chi, atol=1e-10)
 
 
 def test_project_to_physical():

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from ionqpt.qmath import (
-    DEFAULT_TOL,
+    HERMITICITY_TOL,
+    PSD_EIGENVALUE_TOL,
+    TRACE_TOL,
+    UNITARITY_TOL,
     ValidationError,
     hermiticity_deviation,
     matrix_exponential,
@@ -85,5 +88,5 @@ def test_nearest_psd_clips_and_is_idempotent():
 
 
 def test_default_tolerances():
-    assert DEFAULT_TOL.hermiticity == 1e-10
-    assert DEFAULT_TOL.psd_eigenvalue == 1e-8
+    assert HERMITICITY_TOL == UNITARITY_TOL == 1e-10
+    assert TRACE_TOL == PSD_EIGENVALUE_TOL == 1e-8
