@@ -435,15 +435,20 @@ def lamb_dicke_eta(mass_amu: float, omega_rad_s: float, wavelength_m: float,
 # ---------------------------------------------------------------------------
 
 def read_series_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """The first two columns of a CSV.  Blank and ``#`` lines are skipped;
+    only the first remaining row may be a non-numeric header."""
     xs, ys = [], []
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].strip().startswith("#"):
-                continue
+        rows = (row for row in csv.reader(fh)
+                if row and not row[0].strip().startswith("#"))
+        for i, row in enumerate(rows):
             try:
                 x, y = float(row[0]), float(row[1])
             except ValueError:
-                continue  # header line
+                if i == 0:
+                    continue  # header line
+                raise ValidationError(
+                    f"row {row!r} is not a pair of numbers") from None
             except IndexError:
                 raise ValidationError(
                     f"row {row!r} has fewer than two columns") from None

@@ -16,13 +16,16 @@ the amplitudes psi[ion 1, ion 2] of that state: a pulse is psi <- A psi B^T
 with batched closed-form rotations A and B, and the gate mixes psi with its
 both-ions-flipped image.
 
-Datasets are deterministic for a fixed seed under any execution order: each
-(sequence, shot) pair draws from its own counter-derived RNG stream.
+Datasets are deterministic for a fixed seed under any execution order: shot s
+of sequence k draws from its own stream, numpy's
+PCG64(SeedSequence(seed, spawn_key=(k, s))).  The streams of a sequence are
+derived together in numpy and set in turn on one reused generator.
 """
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -264,9 +267,87 @@ def _shot_schedule(plan: ExperimentPlan, seq_index: int, process: ProcessSpec,
     return sched
 
 
-def _shot_rng(seed: int, seq_index: int, shot_index: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(seed, spawn_key=(seq_index, shot_index))
-    return np.random.Generator(np.random.PCG64(ss))
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64 seeding
+# (numpy/random/src/pcg64/pcg64.h), restated so that the streams of all
+# shots of a sequence are derived in a few array operations.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_constants(init: int, mult: int, n: int) -> list[int]:
+    h = [init]
+    for _ in range(n):
+        h.append(h[-1] * mult & _MASK32)
+    return h
+
+
+# Both take Python ints or uint32 arrays (whose products wrap mod 2**32).
+def _hashmix(value, h0, h1):
+    value = (value ^ h0) * h1 & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    r = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
+    return r ^ r >> 16
+
+
+def _shot_streams(seed: int, seq_index: int, shots: int
+                  ) -> list[tuple[int, int]]:
+    """PCG64 ``(state, inc)`` of ``SeedSequence(seed, spawn_key=(seq_index,
+    s))`` for every shot ``s`` of one sequence.
+
+    The entropy words are the little-endian uint32 words of the seed, padded
+    with zeros to the pool size, then ``seq_index`` and ``s``.  Every word but
+    the last is the same for all shots and is mixed in Python ints; the shot
+    index is mixed into the four pool words as arrays over the shots.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed}")
+    words = [seed & _MASK32]
+    while seed := seed >> 32:
+        words.append(seed & _MASK32)
+    entropy = words + [0] * (_POOL_SIZE - len(words)) + [seq_index]
+    # hashmix advances one shared constant per call: 4 to fill the pool, 12
+    # to cross-mix it, then 4 for each further word, the shot index included.
+    n_calls = _POOL_SIZE * (len(entropy) + 1)
+    h = _hash_constants(_HASH_INIT_A, _HASH_MULT_A, n_calls)
+    pool = [_hashmix(w, h[i], h[i + 1])
+            for i, w in enumerate(entropy[:_POOL_SIZE])]
+    c = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst],
+                                 _hashmix(pool[src], h[c], h[c + 1]))
+                c += 1
+    for w in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(w, h[c], h[c + 1]))
+            c += 1
+
+    def col(values):
+        return np.array(values, dtype=np.uint32)[:, None]
+
+    shot = np.arange(shots, dtype=np.uint32)
+    pool = _mix(col(pool), _hashmix(shot, col(h[c:-1]), col(h[c + 1:])))
+    # generate_state(4, uint64): 8 uint32 words, cycling over the pool, with
+    # the same hash as hashmix.
+    g = _hash_constants(_HASH_INIT_B, _HASH_MULT_B, 8)
+    words = _hashmix(np.concatenate([pool, pool]), col(g[:-1]), col(g[1:]))
+    streams = []
+    for s_hi, s_lo, i_hi, i_lo in np.ascontiguousarray(
+            words.T, dtype="<u4").view("<u8").tolist():
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+        streams.append((state, inc))
+    return streams
 
 
 def sample_trajectory(plan: ExperimentPlan, seq_index: int, noise: NoiseModel,
@@ -275,7 +356,9 @@ def sample_trajectory(plan: ExperimentPlan, seq_index: int, noise: NoiseModel,
     """Draw the frequency offsets, laser-phase walks and readout draws of
     every shot of one sequence.
 
-    Shot ``s`` draws from its own stream ``_shot_rng(seed, seq_index, s)``:
+    Shot ``s`` draws from its own stream, numpy's
+    ``PCG64(SeedSequence(seed, spawn_key=(seq_index, s)))``, derived for all
+    shots at once by ``_shot_streams`` and set on one reused generator:
     first ``n_events + 1`` standard normals (the fast frequency offset, then
     one phase-diffusion increment per event), then one uniform readout draw.
     The slow drift contribution is evaluated at the sequence start time and is
@@ -292,8 +375,12 @@ def sample_trajectory(plan: ExperimentPlan, seq_index: int, noise: NoiseModel,
     shots = plan.shots_per_sequence
     z = np.empty((shots, len(sched.times_us) + 1))
     readout = np.empty(shots)
-    for s in range(shots):
-        rng = _shot_rng(seed, seq_index, s)
+    bg = np.random.PCG64()  # its state is replaced before every shot
+    rng = np.random.Generator(bg)
+    for s, (state, inc) in enumerate(_shot_streams(seed, seq_index, shots)):
+        bg.state = {"bit_generator": "PCG64",
+                    "state": {"state": state, "inc": inc},
+                    "has_uint32": 0, "uinteger": 0}
         rng.standard_normal(out=z[s])
         readout[s] = rng.random()
     t_min = plan.sequences[seq_index].start_time_s / 60.0
@@ -343,6 +430,10 @@ def _sequence_probabilities(sched: _ShotSchedule, offsets: np.ndarray
                         c * p11 + ms * phase.conj() * p00)
             p01, p10 = c * p01 + ms * p10, c * p10 + ms * p01
     return np.abs(p00) ** 2, np.abs(p11) ** 2
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass
@@ -412,20 +503,24 @@ class ShotDataset:
         process = ProcessSpec.from_dict(meta["process"]) if "process" in meta \
             else ProcessSpec(meta["process_label"])
         timing = timing_from_dict(meta["timing"])
-        shots = int(meta["shots"])
+        shots = meta["shots"]
+        if not _is_number(shots) or not float(shots).is_integer():
+            raise ValidationError(f"meta.shots must be an integer, got {shots!r}")
+        shots = int(shots)
         plan = build_plan(process_duration_us=timing.process_duration_us,
                           shots=shots, timing=timing)
         records = sorted(doc["records"], key=lambda r: r["k"])
         if [r["k"] for r in records] != list(range(plan.n_sequences)):
             raise ValidationError("records must cover k = 0..255 exactly once")
-        n2 = np.array([r["n2"] for r in records], dtype=float)
-        n1 = n0 = None
-        if all("n1" in r for r in records):
-            n1 = np.array([r["n1"] for r in records], dtype=float)
-        if all("n0" in r for r in records):
-            n0 = np.array([r["n0"] for r in records], dtype=float)
+        counts = {}
+        for name in ("n2", "n1", "n0"):
+            if name == "n2" or all(name in r for r in records):
+                values = [r[name] for r in records]
+                if not all(map(_is_number, values)):
+                    raise ValidationError(f"every {name} must be a JSON number")
+                counts[name] = np.array(values, dtype=float)
         return cls(plan=plan, noise=NoiseModel.from_dict(meta["noise"]),
-                   process=process, seed=meta.get("seed"), n2=n2, n1=n1, n0=n0)
+                   process=process, seed=meta.get("seed"), **counts)
 
     def save(self, path: str) -> None:
         atomic_write_text(path, json.dumps(self.to_json_dict()))

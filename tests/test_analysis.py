@@ -393,3 +393,16 @@ def test_series_csv_roundtrip(tmp_path):
     rx, ry = read_series_csv(path)
     np.testing.assert_allclose(rx, xs, atol=0)
     np.testing.assert_allclose(ry, ys, atol=0)
+
+
+def test_read_series_csv_header_only_on_first_row(tmp_path):
+    path = str(tmp_path / "series.csv")
+    with open(path, "w") as fh:
+        fh.write("# scan\n\ntime_us,signal\n2.0,0.1\n4.0,0.3\n")
+    rx, ry = read_series_csv(path)
+    np.testing.assert_array_equal(rx, [2.0, 4.0])
+    np.testing.assert_array_equal(ry, [0.1, 0.3])
+    with open(path, "w") as fh:
+        fh.write("time_us,signal\n2.0,0.1\n3.0,abc\n4.0,0.3\n")
+    with pytest.raises(ValidationError, match="abc"):
+        read_series_csv(path)

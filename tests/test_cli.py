@@ -196,9 +196,11 @@ def test_reconstruct_bad_timing_exit_2(small_dataset, tmp_path, capsys,
     lambda doc: doc["records"].__setitem__(0, [0, 10.0]),
     lambda doc: doc["meta"]["noise"].update(drift_hz_per_min="x"),
     lambda doc: doc["meta"]["process"].pop("label") and None,
+    lambda doc: doc["meta"].update(shots=60.7),
+    lambda doc: doc["records"][0].update(n2="32.0"),
 ], ids=["noise-unknown-key", "process-unknown-key", "noise-not-a-mapping",
         "top-level-list", "record-not-a-mapping", "noise-value-not-a-number",
-        "process-without-label"])
+        "process-without-label", "shots-not-an-integer", "count-a-string"])
 def test_reconstruct_bad_meta_block_exit_2(small_dataset, tmp_path, capsys,
                                            edit):
     with open(small_dataset) as fh:
@@ -212,6 +214,17 @@ def test_reconstruct_bad_meta_block_exit_2(small_dataset, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+
+
+def test_reconstruct_accepts_integral_float_shots(small_dataset, tmp_path):
+    with open(small_dataset) as fh:
+        doc = json.load(fh)
+    doc["meta"]["shots"] = 60.0
+    path = str(tmp_path / "float_shots.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    assert run("reconstruct", path, "--method", "inversion",
+               "-o", str(tmp_path / "chi.json")) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +395,20 @@ def test_heating_one_column_row_exit_2(tmp_path, capsys):
     csv_path = str(tmp_path / "sb.csv")
     with open(csv_path, "w") as fh:
         fh.write("time_us,signal\n2.0,0.1\n1.0\n")
+    assert run("heating", csv_path, "-o", str(tmp_path / "h.json")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
+def test_heating_bad_row_after_data_exit_2(tmp_path, capsys):
+    t = np.linspace(2.0, 600.0, 40)
+    y = [repr(float(v)) for v in 1.0 - np.cos(0.05 * t)]
+    y[11] = "abc"
+    csv_path = str(tmp_path / "sb.csv")
+    with open(csv_path, "w") as fh:
+        fh.write("time_us,signal\n")
+        fh.writelines(f"{float(a)!r},{b}\n" for a, b in zip(t, y))
     assert run("heating", csv_path, "-o", str(tmp_path / "h.json")) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")

@@ -20,8 +20,8 @@ from ionqpt.ionsim import (
     _KIND_PULSE,
     _block_pulse_params,
     _sequence_probabilities,
-    _shot_rng,
     _shot_schedule,
+    _shot_streams,
 )
 from ionqpt.protocol import build_plan, predict_p2, rotation_unitary
 from ionqpt.qmath import ValidationError
@@ -147,10 +147,29 @@ def test_sample_trajectory_jitter_varies_per_shot():
     freqs = set(freq[:5])
     assert len(freqs) == 5
     # shot 4 reads its own stream: the normals, then the readout draw
-    rng = _shot_rng(0, 3, 4)
+    rng = np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(0, spawn_key=(3, 4))))
     z = rng.standard_normal(offsets.shape[1] + 1)
     assert freq[4] == noise.fast_freq_gaussian_sigma_hz * z[0]
     assert readout[4] == rng.random()
+
+
+@pytest.mark.parametrize("n_words", range(1, 8))
+def test_shot_streams_match_numpy_seedsequence(n_words):
+    rng = np.random.default_rng(n_words)
+    words = rng.integers(1, 2**32, size=n_words).tolist()
+    seeds = [sum(w << 32 * i for i, w in enumerate(words))]
+    if n_words == 1:
+        seeds += [0, 2**32 - 1]
+    shots = 17
+    for seed in seeds:
+        for k in rng.integers(0, 256, size=3).tolist():
+            streams = _shot_streams(seed, k, shots)
+            assert len(streams) == shots
+            for s in (0, shots - 1):
+                ref = np.random.PCG64(np.random.SeedSequence(
+                    seed, spawn_key=(k, s))).state["state"]
+                assert streams[s] == (ref["state"], ref["inc"])
 
 
 def _reference_shot_unitary(sched, offsets):
@@ -279,6 +298,17 @@ def test_dataset_json_roundtrip(tmp_path):
     assert loaded.seed == 5
 
 
+def test_exact_dataset_json_roundtrip(tmp_path):
+    proc = ProcessSpec.ms()
+    plan = plan_for_process(proc, shots=60)
+    probs = predict_p2(proc.ideal_chi(), plan)
+    ds = dataset_from_probabilities(plan, probs, proc)
+    assert not np.all(ds.n2 == np.round(ds.n2))
+    path = str(tmp_path / "exact.json")
+    ds.save(path)
+    np.testing.assert_array_equal(ShotDataset.load(path).n2, ds.n2)
+
+
 def test_ramsey_contrast_model_values():
     c = ramsey_contrast_model(np.array([120.0]), 0.015, 0.0)
     assert c[0] == pytest.approx(math.exp(-0.015 ** 2 * 120 / 2), abs=1e-12)
@@ -324,6 +354,10 @@ GOLDEN_DATASETS = [
      "42f089783a3136dfccdb31fa5abad1ac8779082cac041e2760a196b2f4dabc9e"),
     ("ms", "none", 50, 2,
      "78a0dc96ffa17084b58a1af20a8aba14ae1fcbdff4b84f60a4220613db0fb7c3"),
+    ("ms", "paper", 20, 2**32 + 5,
+     "8f7b2e4cf31649a333a986a2642bb8e1779d7e6ff63d1065ba12002d80256848"),
+    ("ms", "paper", 20, 2**130 + 1,
+     "24a8003dbead6eeea864a89e2138ab8bf5352a0eb814c54417683651d8d7d707"),
 ]
 _NOISES = {"paper": NoiseModel.paper_study, "default": NoiseModel,
            "none": NoiseModel.none}
