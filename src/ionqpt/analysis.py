@@ -93,6 +93,9 @@ def simulate_parity_scan(chi: ProcessMatrix, shots: int = 0,
     least-squares fit of a*sin(2 phi) + b*cos(2 phi) + c.
     """
     phases = np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False)
+    if shots < 0 or 0 < shots < len(phases):
+        raise ValidationError(f"parity scan shots must be 0 (exact) or at "
+                              f"least {len(phases)}, got {shots}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     p2 = np.empty_like(phases)
     p1 = np.empty_like(phases)
@@ -116,6 +119,8 @@ def simulate_parity_scan(chi: ProcessMatrix, shots: int = 0,
 def bell_populations(chi: ProcessMatrix, shots: int = 0,
                      seed: int = 0) -> tuple[float, float]:
     """(p0, p2) of the gate output with no analysis pulse, optionally sampled."""
+    if shots < 0:
+        raise ValidationError(f"shots must be >= 0, got {shots}")
     q2, q1, q0 = _output_populations(chi, None)
     if shots:
         rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -349,6 +354,8 @@ def fit_heating(times_us, signals,
     residual wins, ties broken by lowest start index.  Returns the occupation
     and the 3x3 parameter covariance estimated from the Jacobian at the optimum.
     """
+    if not (math.isfinite(eta) and eta > 0):
+        raise ValidationError(f"eta must be finite and > 0, got {eta}")
     times_us = np.asarray(times_us, dtype=float)
     signals = np.asarray(signals, dtype=float)
     if len(times_us) < 8:

@@ -43,7 +43,7 @@ from .process import (
     process_fidelity,
     save_chi,
 )
-from .protocol import RotationSetting
+from .protocol import SEQUENCES
 from .qmath import ValidationError, pauli_labels_2q
 from .recon import (
     MleConfig,
@@ -124,11 +124,9 @@ def cmd_simulate(args) -> int:
     print(f"wrote {args.output}: 256 sequences x {args.shots} shots, "
           f"process={process.label}, seed={args.seed}")
     print("P2 means for the 16 matched prep/meas corner sequences:")
-    codes = [s.code for s in RotationSetting]
-    for pair in range(16):
-        k = 16 * pair + pair
-        p1, p2 = codes[pair // 4], codes[pair % 4]
-        print(f"  prep=meas=({p1},{p2})  k={k:3d}  P2={freq[k]:.4f}")
+    for k in range(0, 256, 17):
+        (p1, p2), _ = SEQUENCES[k]
+        print(f"  prep=meas=({p1.code},{p2.code})  k={k:3d}  P2={freq[k]:.4f}")
     return EXIT_OK
 
 

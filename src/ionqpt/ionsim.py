@@ -32,6 +32,7 @@ import numpy as np
 
 from .process import ProcessMatrix, atomic_write_text, unitary_to_chi
 from .protocol import (
+    SEQUENCES,
     ExperimentPlan,
     RotationSetting,
     TimingModel,
@@ -238,26 +239,25 @@ def _block_events(target: int, setting: RotationSetting, block_start_us: float,
 
 def _shot_schedule(plan: ExperimentPlan, seq_index: int, process: ProcessSpec,
                    noise: NoiseModel) -> _ShotSchedule:
-    seq = plan.sequences[seq_index]
     t = plan.timing
-    key = (seq.prep[0].code, seq.prep[1].code, seq.meas[0].code,
-           seq.meas[1].code, process.label, process.theta, process.duration_us,
+    key = (seq_index, process.label, process.theta, process.duration_us,
            t.composite_block_us, t.pulse_pi_us, noise.phi_p_error_mrad,
            noise.scaling_phase_error_mrad_ion2, noise.pulse_area_fractional_error)
     cached = _SCHEDULE_CACHE.get(key)
     if cached is not None:
         return cached
 
+    prep, meas = SEQUENCES[seq_index]
     block = t.composite_block_us
     events: list[tuple] = []
-    events += _block_events(1, seq.prep[0], 0.0, t, noise)
-    events += _block_events(2, seq.prep[1], block, t, noise)
+    events += _block_events(1, prep[0], 0.0, t, noise)
+    events += _block_events(2, prep[1], block, t, noise)
     if process.is_entangling:
         events.append((2.0 * block + 0.5 * process.duration_us, _KIND_MS,
                        process.theta, 0.0, 0.0))
     meas_start = 2.0 * block + process.duration_us
-    events += _block_events(1, seq.meas[0], meas_start, t, noise)
-    events += _block_events(2, seq.meas[1], meas_start + block, t, noise)
+    events += _block_events(1, meas[0], meas_start, t, noise)
+    events += _block_events(2, meas[1], meas_start + block, t, noise)
     events.sort(key=lambda e: e[0])
 
     arr = np.array(events, dtype=float).reshape(-1, 5)
@@ -383,7 +383,7 @@ def sample_trajectory(plan: ExperimentPlan, seq_index: int, noise: NoiseModel,
                     "has_uint32": 0, "uinteger": 0}
         rng.standard_normal(out=z[s])
         readout[s] = rng.random()
-    t_min = plan.sequences[seq_index].start_time_s / 60.0
+    t_min = plan.start_time_s(seq_index) / 60.0
     freq = (noise.drift_hz_per_min * t_min
             + noise.fast_freq_gaussian_sigma_hz * z[:, 0])
     dt = np.diff(np.concatenate(([0.0], sched.times_us)))
@@ -478,8 +478,8 @@ class ShotDataset:
             return int(x) if float(x).is_integer() else float(x)
 
         records = []
-        for i, seq in enumerate(self.plan.sequences):
-            rec = {"k": seq.k, "n2": _num(self.n2[i])}
+        for i in range(self.plan.n_sequences):
+            rec = {"k": i, "n2": _num(self.n2[i])}
             if self.n1 is not None:
                 rec["n1"] = _num(self.n1[i])
             if self.n0 is not None:
@@ -541,6 +541,11 @@ def generate_dataset(plan: ExperimentPlan, process: ProcessSpec,
     """
     if seed < 0:
         raise ValidationError(f"seed must be nonnegative, got {seed}")
+    if plan.timing.process_duration_us != process.duration_us:
+        raise ValidationError(
+            f"plan's process window ({plan.timing.process_duration_us} us) "
+            f"is not the {process.label} process's ({process.duration_us} us); "
+            "build the plan with plan_for_process")
     shots = plan.shots_per_sequence
     n2 = np.zeros(plan.n_sequences)
     n1 = np.zeros(plan.n_sequences)
@@ -594,12 +599,15 @@ def simulate_ramsey(delays_us, noise: NoiseModel, shots: int,
     The per-shot fringe probability is averaged directly, without binary
     projection noise.
     """
+    delays_us = np.asarray(delays_us, dtype=float)
+    if shots < 1:
+        raise ValidationError(f"Ramsey shots must be >= 1, got {shots}")
+    if not np.all(np.isfinite(delays_us) & (delays_us > 0)):
+        raise ValidationError("Ramsey delays must be finite and positive")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     phases = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
     out = []
-    for tau in np.asarray(delays_us, dtype=float):
-        if tau <= 0:
-            raise ValidationError("Ramsey delays must be positive")
+    for tau in delays_us:
         dphi = (2.0 * math.pi * noise.fast_freq_gaussian_sigma_hz * tau * 1e-6
                 * rng.standard_normal(shots)
                 + noise.phase_diffusion_rad_per_sqrt_us * math.sqrt(tau)

@@ -2,9 +2,9 @@
 
 Preparation and measurement settings are drawn from four rotations per ion
 (identity, X pi, X pi/2, Y pi/2) applied to ions initialized in |SS>, with
-collective detection of the both-bright probability P2.  Sequence order is
-lexicographic with the preparation pair outer and the measurement pair inner:
-k = 16*(4*p1 + p2) + (4*m1 + m2).
+collective detection of the both-bright probability P2.  Every plan runs the
+256 ``SEQUENCES`` in lexicographic order, preparation pair outer and
+measurement pair inner: k = 16*(4*p1 + p2) + (4*m1 + m2).
 
 The forward model is one real matrix, the effect matrix F of
 ``effect_matrix``: P2 of sequence k is Tr(J E_k) for the Choi matrix J of
@@ -14,6 +14,8 @@ inversion (``inversion_map``) and the MLE in ``recon`` all read F.
 from __future__ import annotations
 
 import enum
+import functools
+import itertools
 import math
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -25,7 +27,7 @@ from .qmath import ValidationError, hermiticity_deviation
 __all__ = [
     "RotationSetting",
     "TimingModel",
-    "SequenceRecord",
+    "SEQUENCES",
     "ExperimentPlan",
     "rotation_unitary",
     "setting_unitary",
@@ -55,7 +57,9 @@ class RotationSetting(enum.Enum):
         self.phi = phi
 
 
-SETTINGS = tuple(RotationSetting)
+# (prep pair, meas pair) of sequence k = 16*(4*p1 + p2) + (4*m1 + m2).
+SEQUENCES = tuple(itertools.product(
+    itertools.product(RotationSetting, repeat=2), repeat=2))
 
 
 def rotation_unitary(theta: float, phi: float) -> np.ndarray:
@@ -93,10 +97,6 @@ class TimingModel:
             raise ValidationError("timing parameters must be finite")
 
     @property
-    def prep_block_us(self) -> float:
-        return 2.0 * self.composite_block_us
-
-    @property
     def in_sequence_us(self) -> float:
         return 4.0 * self.composite_block_us + self.process_duration_us
 
@@ -106,53 +106,33 @@ class TimingModel:
 
 
 @dataclass(frozen=True)
-class SequenceRecord:
-    k: int
-    prep: tuple[RotationSetting, RotationSetting]
-    meas: tuple[RotationSetting, RotationSetting]
-    start_time_s: float
-
-
-@dataclass(frozen=True)
 class ExperimentPlan:
-    """An ordered list of (prep, meas) sequences with timing metadata."""
+    """Shots and timing of a run of the 256 ``SEQUENCES``, in order."""
 
-    sequences: tuple[SequenceRecord, ...]
     shots_per_sequence: int
     timing: TimingModel
 
     def __post_init__(self):
         if self.shots_per_sequence < 1:
             raise ValidationError("shots_per_sequence must be >= 1")
-        times = [s.start_time_s for s in self.sequences]
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValidationError("sequence start times must be strictly increasing")
+        # The start times k * shots * period increase strictly iff period > 0.
+        if not self.timing.shot_period_s > 0:
+            raise ValidationError("the shot period must be positive")
 
     @property
     def n_sequences(self) -> int:
-        return len(self.sequences)
+        return len(SEQUENCES)
+
+    def start_time_s(self, k: int) -> float:
+        return k * self.shots_per_sequence * self.timing.shot_period_s
 
 
 def build_plan(process_duration_us: float = 0.0, shots: int = 500,
                timing: TimingModel | None = None) -> ExperimentPlan:
-    """Canonical 256-sequence plan (prep outer, meas inner, lexicographic)."""
-    if shots < 1:
-        raise ValidationError("shots must be >= 1")
+    """Plan of ``shots`` per sequence with the given process window."""
     timing = replace(timing or TimingModel(),
                      process_duration_us=process_duration_us)
-    period = timing.shot_period_s
-    sequences = []
-    k = 0
-    for p1 in SETTINGS:
-        for p2 in SETTINGS:
-            for m1 in SETTINGS:
-                for m2 in SETTINGS:
-                    sequences.append(SequenceRecord(
-                        k=k, prep=(p1, p2), meas=(m1, m2),
-                        start_time_s=k * shots * period))
-                    k += 1
-    return ExperimentPlan(sequences=tuple(sequences),
-                          shots_per_sequence=shots, timing=timing)
+    return ExperimentPlan(shots_per_sequence=shots, timing=timing)
 
 
 def prep_state(pair: tuple[RotationSetting, RotationSetting]) -> np.ndarray:
@@ -169,27 +149,15 @@ def meas_operator(pair: tuple[RotationSetting, RotationSetting]) -> np.ndarray:
     return np.outer(phi, phi.conj())
 
 
-# Effect matrices and inversion maps are pure functions of the sequence
-# settings; cache them by the settings signature so plans differing only in
-# timing share them.  Both are stored read-only, since every caller gets the
-# same arrays.
-_EFFECT_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-_INVERSION_CACHE: dict[tuple, tuple[int, np.ndarray | None]] = {}
-
 # Predicted probabilities may leave [0, 1] by this much before the chi counts
 # as not CPTP; within it they are clipped.
 _BOUNDARY_TOL = 1e-10
 
 
-def _plan_signature(plan: ExperimentPlan) -> tuple:
-    return tuple((s.prep[0].code, s.prep[1].code, s.meas[0].code, s.meas[1].code)
-                 for s in plan.sequences)
-
-
-def sequence_operators(plan: ExperimentPlan) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked prep states and measurement operators, each (n_seq, 4, 4)."""
-    rho = np.stack([prep_state(s.prep) for s in plan.sequences])
-    mop = np.stack([meas_operator(s.meas) for s in plan.sequences])
+def sequence_operators() -> tuple[np.ndarray, np.ndarray]:
+    """Stacked prep states and measurement operators, each (256, 4, 4)."""
+    rho = np.stack([prep_state(prep) for prep, _ in SEQUENCES])
+    mop = np.stack([meas_operator(meas) for _, meas in SEQUENCES])
     return rho, mop
 
 
@@ -198,40 +166,40 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def effect_matrix(plan: ExperimentPlan) -> tuple[np.ndarray, np.ndarray]:
+@functools.cache
+def effect_matrix() -> tuple[np.ndarray, np.ndarray]:
     """Real form of the Choi-space forward map, and the transposed prep states.
 
     Row k of the complex effect matrix E is vec(rho_k^T (x) M_k), so that
     p_k = Tr(J E_k) for a Choi matrix J.  Each E_k is Hermitian, so
     Tr(J E_k) = sum_ab (Re E_k Re J + Im E_k Im J)_ab.  The first array F,
-    shape (n_seq, 512), is E with the real and imaginary part of each entry
+    shape (256, 512), is E with the real and imaginary part of each entry
     in adjacent columns, numpy's memory layout of a complex array.  For a
     C-contiguous complex J, F @ J.view(float).ravel() is therefore p, and
     (w @ F).view(complex) is vec R for R = sum_k w_k E_k.  The second array,
-    shape (n_seq, 16), holds vec(rho_k^T) row by row.
+    shape (256, 16), holds vec(rho_k^T) row by row.  Both are built once and
+    are read-only, since every caller gets the same arrays.
     """
-    sig = _plan_signature(plan)
-    cached = _EFFECT_CACHE.get(sig)
-    if cached is None:
-        rho, mop = sequence_operators(plan)
-        n = len(rho)
-        e = np.einsum("kba,kcd->kacbd", rho, mop).reshape(n, 256)
-        # Column-major storage makes both matrix-vector products faster.
-        forward = np.asfortranarray(np.ascontiguousarray(e).view(np.float64))
-        rho_t = rho.transpose(0, 2, 1).reshape(n, 16).copy()
-        cached = (_read_only(forward), _read_only(rho_t))
-        _EFFECT_CACHE[sig] = cached
-    return cached
+    rho, mop = sequence_operators()
+    n = len(rho)
+    e = np.einsum("kba,kcd->kacbd", rho, mop).reshape(n, 256)
+    # Column-major storage makes both matrix-vector products faster.
+    forward = np.asfortranarray(np.ascontiguousarray(e).view(np.float64))
+    rho_t = rho.transpose(0, 2, 1).reshape(n, 16).copy()
+    return _read_only(forward), _read_only(rho_t)
 
 
+# predict_p2 and design_rank read no field of ``plan``: every plan runs the
+# same sequences.  They take one because tests/test_acceptance.py (kept
+# unchanged) passes one.
 def predict_p2(chi: ProcessMatrix, plan: ExperimentPlan) -> np.ndarray:
-    """Predicted both-bright probability for every sequence in plan order."""
+    """Predicted both-bright probability of every sequence, in order k."""
     # F is real, so it would silently drop an anti-Hermitian part of chi.
     if hermiticity_deviation(chi.chi) > 1e-8:
         raise ValidationError("forward model produced complex probabilities; "
                               "chi violates Hermiticity")
     choi = np.ascontiguousarray(chi_to_choi(chi.chi))
-    p = effect_matrix(plan)[0] @ choi.view(float).ravel()
+    p = effect_matrix()[0] @ choi.view(float).ravel()
     if p.min() < -_BOUNDARY_TOL or p.max() > 1.0 + _BOUNDARY_TOL:
         raise ValidationError(
             f"probability outside [0,1]: range [{p.min():.3e}, {p.max():.3e}]; "
@@ -239,37 +207,30 @@ def predict_p2(chi: ProcessMatrix, plan: ExperimentPlan) -> np.ndarray:
     return np.clip(p, 0.0, 1.0)
 
 
-def inversion_map(plan: ExperimentPlan) -> tuple[int, np.ndarray | None]:
+@functools.cache
+def inversion_map() -> tuple[int, np.ndarray]:
     """Rank of the effect matrix, and its least-squares inverse.
 
-    For a full-rank plan the map L = pinv(F), for F from ``effect_matrix``,
-    gives the minimum-norm least-squares Choi matrix from frequencies f as
+    The map L = pinv(F), for F from ``effect_matrix``, gives the
+    minimum-norm least-squares Choi matrix from frequencies f as
     (L @ f).view(complex).reshape(16, 16).  F's row space holds only
     Hermitian J, so that J is Hermitian, and it is the one least-squares fit
-    among Hermitian J.  Singular values at or below max(F.shape) * eps times the
-    largest count as zero, the cutoff of numpy's ``lstsq`` and
-    ``matrix_rank``.  L is None when the rank is below 256, the number of
-    real parameters of a Hermitian J.
+    among Hermitian J.  The rank counts the singular values above
+    max(F.shape) * eps times the largest, the cutoff of numpy's ``lstsq``
+    and ``matrix_rank``; the four settings make it 256, the number of real
+    parameters of a Hermitian J, so L inverts every singular value.
     """
-    sig = _plan_signature(plan)
-    cached = _INVERSION_CACHE.get(sig)
-    if cached is None:
-        forward, _ = effect_matrix(plan)
-        # F^T = U S V^T is C-contiguous, LAPACK's faster layout here, and
-        # pinv(F) = U S^-1 V^T.
-        u, s, vt = np.linalg.svd(forward.T, full_matrices=False)
-        rank = int(np.sum(s > s[0] * max(forward.shape) * np.finfo(float).eps))
-        inverse = None
-        if rank == 256:
-            inverse = _read_only((u[:, :rank] / s[:rank]) @ vt[:rank])
-        cached = (rank, inverse)
-        _INVERSION_CACHE[sig] = cached
-    return cached
+    forward, _ = effect_matrix()
+    # F^T = U S V^T is C-contiguous, LAPACK's faster layout here, and
+    # pinv(F) = U S^-1 V^T.
+    u, s, vt = np.linalg.svd(forward.T, full_matrices=False)
+    rank = int(np.sum(s > s[0] * max(forward.shape) * np.finfo(float).eps))
+    return rank, _read_only((u / s) @ vt)
 
 
 def design_rank(plan: ExperimentPlan) -> int:
-    """Rank of the chi -> probabilities map; 256 for the canonical settings."""
-    return inversion_map(plan)[0]
+    """Rank of the chi -> probabilities map; 256 for the four settings."""
+    return inversion_map()[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Reconstruction of chi from shot datasets.
 
 ``linear_inversion`` fits the Choi matrix to the frequencies by least squares
-through the plan's cached pseudo-inverse of the effect matrix
+through the pseudo-inverse of the effect matrix, computed once
 (``protocol.inversion_map``); it is fast but can return unphysical (non-PSD)
 matrices when the data are noisy.
 ``mle_reconstruct`` maximizes the per-sequence binomial likelihood of the
@@ -21,7 +21,7 @@ herm Tr_out(R J).  log L is concave and Tr(R J') <= Tr Lambda for every CPTP
 J' once Lambda (x) I >= R, so the gap bounds log L* - log L(J) over all CPTP
 maps; the solve stops once it is at most ``MleConfig.gap_tolerance``.
 
-Both halves of an iteration read the plan's cached effect matrix E, whose
+Both halves of an iteration read the effect matrix E, whose
 row k is vec(rho_k^T (x) M_k) (``protocol.effect_matrix``, kept as a real
 matrix F, the package's one forward model).  p_k = Tr(J E_k) is one product
 of F with the real view of vec J.
@@ -50,7 +50,6 @@ from .protocol import effect_matrix, inversion_map
 from .qmath import PSD_EIGENVALUE_TOL, ValidationError
 
 __all__ = [
-    "IdentifiabilityError",
     "MleConfig",
     "MleResult",
     "LinearInversionDiagnostics",
@@ -60,10 +59,6 @@ __all__ = [
     "bootstrap_statistic",
     "bootstrap_fidelity",
 ]
-
-
-class IdentifiabilityError(ValueError):
-    """The plan's effect matrix does not determine chi uniquely."""
 
 
 @dataclass(frozen=True)
@@ -121,10 +116,7 @@ def linear_inversion(dataset: ShotDataset
                      ) -> tuple[ProcessMatrix, LinearInversionDiagnostics]:
     """Least-squares chi from frequencies; Hermitian and trace-normalized but
     not necessarily PSD."""
-    rank, inverse = inversion_map(dataset.plan)
-    if inverse is None:
-        raise IdentifiabilityError(
-            f"plan design rank {rank} < 256; chi is not identifiable")
+    _, inverse = inversion_map()
     j = (inverse @ dataset.frequencies).view(complex).reshape(16, 16)
     chi = choi_to_chi(0.5 * (j + j.conj().T))
     raw_trace = float(chi.trace().real)
@@ -182,7 +174,7 @@ def _likelihood(dataset: ShotDataset):
     shots = dataset.plan.shots_per_sequence
     n2 = dataset.n2
     n_other = shots - n2
-    forward, rho_t = effect_matrix(dataset.plan)
+    forward, rho_t = effect_matrix()
 
     def evaluate(j: np.ndarray) -> tuple[np.ndarray, float]:
         # j is C-contiguous complex, so its float view is vec J with Re and

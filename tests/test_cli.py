@@ -198,9 +198,11 @@ def test_reconstruct_bad_timing_exit_2(small_dataset, tmp_path, capsys,
     lambda doc: doc["meta"]["process"].pop("label") and None,
     lambda doc: doc["meta"].update(shots=60.7),
     lambda doc: doc["records"][0].update(n2="32.0"),
+    lambda doc: doc["meta"]["timing"].update(shot_overhead_ms=-1.0),
 ], ids=["noise-unknown-key", "process-unknown-key", "noise-not-a-mapping",
         "top-level-list", "record-not-a-mapping", "noise-value-not-a-number",
-        "process-without-label", "shots-not-an-integer", "count-a-string"])
+        "process-without-label", "shots-not-an-integer", "count-a-string",
+        "negative-shot-period"])
 def test_reconstruct_bad_meta_block_exit_2(small_dataset, tmp_path, capsys,
                                            edit):
     with open(small_dataset) as fh:
@@ -331,6 +333,17 @@ def test_bell_rejects_non_entangling(tmp_path):
                "-o", str(tmp_path / "bell.json")) == 2
 
 
+# A negative count cannot be sampled, and fewer than 24 shots leave the
+# 24-point parity scan with none per point.
+@pytest.mark.parametrize("shots", ["-5", "5"])
+def test_bell_bad_shots_exit_2(tmp_path, capsys, shots):
+    assert run("bell", "--process", "ms", "--shots", shots,
+               "-o", str(tmp_path / "bell.json")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # ramsey
 # ---------------------------------------------------------------------------
@@ -347,9 +360,15 @@ def test_ramsey_with_fit(tmp_path, capsys):
     assert len(lines) == 6
 
 
-def test_ramsey_bad_delays_exit_2(tmp_path):
-    assert run("ramsey", "--delays", "20,sixty",
-               "-o", str(tmp_path / "r.csv")) == 2
+def test_ramsey_bad_delays_exit_2(tmp_path, capsys):
+    for args in (["--delays", "20,sixty"], ["--delays", "20,nan"],
+                 ["--delays", "20,inf"], ["--delays", "20,0"],
+                 ["--shots", "-3"], ["--shots", "0"]):
+        out = tmp_path / "r.csv"
+        assert run("ramsey", *args, "-o", str(out)) == 2, args
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, args
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +429,21 @@ def test_heating_bad_row_after_data_exit_2(tmp_path, capsys):
         fh.write("time_us,signal\n")
         fh.writelines(f"{float(a)!r},{b}\n" for a, b in zip(t, y))
     assert run("heating", csv_path, "-o", str(tmp_path / "h.json")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("eta", ["0", "-0.039", "nan"])
+def test_heating_bad_eta_exit_2(tmp_path, capsys, eta):
+    t = np.linspace(2.0, 600.0, 40)
+    y = 1.0 - np.cos(0.05 * t)
+    csv_path = str(tmp_path / "sb.csv")
+    with open(csv_path, "w") as fh:
+        fh.write("time_us,signal\n")
+        fh.writelines(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(t, y))
+    assert run("heating", csv_path, "--eta", eta,
+               "-o", str(tmp_path / "h.json")) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert err.count("\n") == 1

@@ -223,6 +223,14 @@ def test_generate_dataset_deterministic_and_noiseless_corners():
         generate_dataset(plan, proc, NoiseModel.none(), seed=-1)
 
 
+def test_generate_dataset_rejects_plan_for_another_process():
+    # build_plan's process window is 0 us; the delay process lasts 120 us, so
+    # its meta block and shot period would both be wrong.
+    with pytest.raises(ValidationError, match="process window"):
+        generate_dataset(build_plan(shots=20), ProcessSpec.delay(),
+                         NoiseModel.none(), seed=0)
+
+
 def test_noiseless_frequencies_track_forward_model():
     proc = ProcessSpec.ms()
     plan = plan_for_process(proc, shots=300)
@@ -335,6 +343,12 @@ def test_simulate_ramsey_matches_analytic_kernel():
 def test_simulate_ramsey_rejects_nonpositive_delay():
     with pytest.raises(ValidationError):
         simulate_ramsey([0.0], NoiseModel.none(), shots=10)
+    for delay in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="delays"):
+            simulate_ramsey([20.0, delay], NoiseModel.none(), shots=10)
+    for shots in (0, -3):
+        with pytest.raises(ValidationError, match="shots"):
+            simulate_ramsey([20.0], NoiseModel.none(), shots=shots)
 
 
 # SHA-256 of the float64 bytes of (n2, n1, n0), frozen from the per-shot

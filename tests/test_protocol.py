@@ -5,7 +5,7 @@ import pytest
 
 from ionqpt.process import ProcessMatrix, unitary_to_chi
 from ionqpt.protocol import (
-    ExperimentPlan,
+    SEQUENCES,
     RotationSetting,
     TimingModel,
     build_plan,
@@ -39,14 +39,18 @@ def test_rotation_settings():
 
 def test_build_plan_structure():
     plan = build_plan()
-    assert plan.n_sequences == 256
-    assert [s.k for s in plan.sequences] == list(range(256))
+    assert plan.n_sequences == len(SEQUENCES) == len(set(SEQUENCES)) == 256
     # prep outer, meas inner, lexicographic
-    s17 = plan.sequences[17]  # 17 = 16*1 + 1: prep (I, Xpi), meas (I, Xpi)
-    assert s17.prep == (RotationSetting.ID, RotationSetting.XPI)
-    assert s17.meas == (RotationSetting.ID, RotationSetting.XPI)
-    times = [s.start_time_s for s in plan.sequences]
+    prep, meas = SEQUENCES[17]  # 17 = 16*1 + 1: prep (I, Xpi), meas (I, Xpi)
+    assert prep == (RotationSetting.ID, RotationSetting.XPI)
+    assert meas == (RotationSetting.ID, RotationSetting.XPI)
+    settings = list(RotationSetting)
+    for k, ((p1, p2), (m1, m2)) in enumerate(SEQUENCES):
+        assert k == 16 * (4 * settings.index(p1) + settings.index(p2)) \
+            + 4 * settings.index(m1) + settings.index(m2)
+    times = [plan.start_time_s(k) for k in range(256)]
     assert all(b > a for a, b in zip(times, times[1:]))
+    assert times[3] == 3 * 500 * plan.timing.shot_period_s
 
 
 def test_build_plan_validation():
@@ -56,7 +60,6 @@ def test_build_plan_validation():
 
 def test_timing_model_durations():
     t = TimingModel(process_duration_us=120.0)
-    assert t.prep_block_us == 50.0
     assert t.in_sequence_us == 220.0
     assert t.shot_period_s == pytest.approx(10e-3 + 220e-6)
 
@@ -89,9 +92,9 @@ def test_predict_p2_matches_unitary_oracle():
     u = matrix_exponential(_P[5], math.pi / 4)
     p = predict_p2(unitary_to_chi(u), plan)
     for k in (0, 5, 37, 100, 255):
-        seq = plan.sequences[k]
-        psi = u @ setting_unitary(seq.prep) @ KET_SS
-        phi = setting_unitary(seq.meas).conj().T @ KET_SS
+        prep, meas = SEQUENCES[k]
+        psi = u @ setting_unitary(prep) @ KET_SS
+        phi = setting_unitary(meas).conj().T @ KET_SS
         assert p[k] == pytest.approx(abs(np.vdot(phi, psi)) ** 2, abs=1e-12)
 
 
@@ -117,9 +120,8 @@ def test_hermitian_dof_basis_is_complete():
     # The 256 real coordinates of a Hermitian Choi matrix are exactly what
     # the forward map sees: each Hermitian J comes back through F and its
     # inverse, and an anti-Hermitian part gives no signal at all.
-    plan = build_plan()
-    forward, _ = effect_matrix(plan)
-    _, inverse = inversion_map(plan)
+    forward, _ = effect_matrix()
+    _, inverse = inversion_map()
     rng = np.random.default_rng(3)
     g = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
     herm = np.ascontiguousarray(g + g.conj().T)
@@ -132,7 +134,7 @@ def test_hermitian_dof_basis_is_complete():
 
 def test_design_matrix_and_rank():
     plan = build_plan()
-    forward, rho_t = effect_matrix(plan)
+    forward, rho_t = effect_matrix()
     assert forward.shape == (256, 512)
     assert forward.dtype == float
     assert rho_t.shape == (256, 16)
@@ -140,12 +142,10 @@ def test_design_matrix_and_rank():
     assert design_rank(plan) == 256
 
 
-def test_plan_rejects_nonincreasing_times():
-    plan = build_plan()
-    seqs = list(plan.sequences)
-    bad = seqs[1].__class__(k=1, prep=seqs[1].prep, meas=seqs[1].meas,
-                            start_time_s=0.0)
-    with pytest.raises(ValidationError):
-        ExperimentPlan(sequences=tuple([seqs[0], bad] + seqs[2:]),
-                       shots_per_sequence=plan.shots_per_sequence,
-                       timing=plan.timing)
+def test_plan_rejects_nonpositive_shot_period():
+    # A shot period of at most 0 s would start sequences out of order.
+    with pytest.raises(ValidationError, match="shot period"):
+        build_plan(timing=TimingModel(shot_overhead_ms=-1.0))
+    with pytest.raises(ValidationError, match="shot period"):
+        build_plan(timing=TimingModel(composite_block_us=0.0,
+                                      shot_overhead_ms=0.0))

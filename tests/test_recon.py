@@ -16,7 +16,6 @@ from ionqpt.process import (
     validate_cptp,
 )
 from ionqpt.protocol import (
-    ExperimentPlan,
     build_plan,
     design_rank,
     effect_matrix,
@@ -26,7 +25,6 @@ from ionqpt.protocol import (
 )
 from ionqpt.qmath import ValidationError, two_qubit_pauli_basis
 from ionqpt.recon import (
-    IdentifiabilityError,
     MleConfig,
     _DILUTION_BASE,
     _PROBABILITY_FLOOR,
@@ -74,22 +72,6 @@ def test_linear_inversion_noisy_is_unphysical(ms_sampled_dataset):
     chi, diag = linear_inversion(ms_sampled_dataset)
     assert diag.min_eigenvalue < 0.0
     assert not diag.physical
-
-
-def test_linear_inversion_rank_deficient_plan():
-    full = build_plan(shots=10)
-    # repeat one (prep, meas) combination for all 256 slots: rank collapses
-    base = full.sequences[0]
-    seqs = tuple(
-        type(base)(k=s.k, prep=base.prep, meas=base.meas,
-                   start_time_s=s.start_time_s)
-        for s in full.sequences)
-    plan = ExperimentPlan(sequences=seqs, shots_per_sequence=10,
-                          timing=full.timing)
-    ds = dataset_from_probabilities(plan, np.full(256, 0.5),
-                                    ProcessSpec.identity())
-    with pytest.raises(IdentifiabilityError):
-        linear_inversion(ds)
 
 
 def test_mle_exact_probabilities(ms_exact_dataset):
@@ -204,9 +186,9 @@ def test_predict_p2_matches_chi_space_oracle():
     # The oracle applies chi in the Pauli basis, never forming a Choi matrix:
     # p_k = Tr(M_k E(rho_k)).
     plan = build_plan(shots=10)
-    forward, rho_t = effect_matrix(plan)
+    forward, rho_t = effect_matrix()
     assert not forward.flags.writeable and not rho_t.flags.writeable
-    rho, mop = sequence_operators(plan)
+    rho, mop = sequence_operators()
     np.testing.assert_array_equal(rho_t.reshape(-1, 4, 4),
                                   rho.transpose(0, 2, 1))
     rng = np.random.default_rng(2024)
@@ -220,7 +202,7 @@ def test_predict_p2_matches_chi_space_oracle():
 
 def test_inversion_map_rank_and_exact_recovery():
     plan = build_plan(shots=10)
-    rank, inverse = inversion_map(plan)
+    rank, inverse = inversion_map()
     assert rank == design_rank(plan) == 256
     assert inverse.shape == (512, 256) and not inverse.flags.writeable
     rng = np.random.default_rng(7)
@@ -239,7 +221,7 @@ def _einsum_mle_choi(dataset, steps):
     a fixed number of steps with no stop rule.  Returns each iterate with its
     p, log L and R, and the iterate after the last."""
     plan = dataset.plan
-    rho, mop = sequence_operators(plan)
+    rho, mop = sequence_operators()
     eye4 = np.eye(4, dtype=complex)
     eye16 = np.eye(16, dtype=complex)
     e_bright = np.stack([np.kron(r.T, m) for r, m in zip(rho, mop)])
