@@ -358,10 +358,13 @@ def fit_heating(times_us, signals,
         raise ValidationError(f"eta must be finite and > 0, got {eta}")
     times_us = np.asarray(times_us, dtype=float)
     signals = np.asarray(signals, dtype=float)
-    if len(times_us) < 8:
-        raise ValidationError("need at least 8 time points")
     if not (np.all(np.isfinite(times_us)) and np.all(np.isfinite(signals))):
         raise ValidationError("times and signals must be finite")
+    t_s = times_us * 1e-6
+    distinct = np.unique(t_s)
+    if len(distinct) < 8:
+        raise ValidationError(
+            f"need at least 8 distinct time points, got {len(distinct)}")
     if np.ptp(signals) < 1e-9:
         raise FitError("flat sideband signal; occupation unidentifiable")
 
@@ -369,9 +372,8 @@ def fit_heating(times_us, signals,
     # distribution's modal Fock state, Omega * eta * sqrt(n_mode + 1) / 2 pi.
     # Seeding Omega from it per start avoids the aliased local optima that a
     # free Rabi frequency produces in this comb-of-frequencies model.
-    t_s = times_us * 1e-6
-    span = float(t_s.max() - t_s.min())
-    dt = float(np.median(np.diff(np.sort(t_s))))
+    span = float(distinct[-1] - distinct[0])
+    dt = float(np.median(np.diff(distinct)))
     freqs = np.linspace(0.25 / span, 0.5 / dt, 512)
     pgram = _lombscargle(t_s, signals - signals.mean(), 2.0 * math.pi * freqs)
     f_dom = float(freqs[int(np.argmax(pgram))])

@@ -23,6 +23,7 @@ derived together in numpy and set in turn on one reused generator.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
@@ -128,6 +129,9 @@ class ProcessSpec:
             if not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite, "
                                       f"got {getattr(self, name)}")
+        if self.duration_us < 0:
+            raise ValidationError(
+                f"duration_us must be >= 0, got {self.duration_us}")
 
     @classmethod
     def identity(cls) -> "ProcessSpec":
@@ -219,9 +223,6 @@ class _ShotSchedule:
     phi2: np.ndarray
 
 
-_SCHEDULE_CACHE: dict[tuple, _ShotSchedule] = {}
-
-
 def _block_events(target: int, setting: RotationSetting, block_start_us: float,
                   timing: TimingModel, noise: NoiseModel) -> list[tuple]:
     if setting is RotationSetting.ID:
@@ -237,16 +238,13 @@ def _block_events(target: int, setting: RotationSetting, block_start_us: float,
             (t_second, _KIND_PULSE, th_b, b1, b2)]
 
 
+@functools.cache
 def _shot_schedule(plan: ExperimentPlan, seq_index: int, process: ProcessSpec,
                    noise: NoiseModel) -> _ShotSchedule:
+    """Events in the order they are built, which is time order: a block's two
+    pulses fit in it (``TimingModel`` checks pulse_pi_us <= composite_block_us)
+    and every duration is nonnegative."""
     t = plan.timing
-    key = (seq_index, process.label, process.theta, process.duration_us,
-           t.composite_block_us, t.pulse_pi_us, noise.phi_p_error_mrad,
-           noise.scaling_phase_error_mrad_ion2, noise.pulse_area_fractional_error)
-    cached = _SCHEDULE_CACHE.get(key)
-    if cached is not None:
-        return cached
-
     prep, meas = SEQUENCES[seq_index]
     block = t.composite_block_us
     events: list[tuple] = []
@@ -258,13 +256,9 @@ def _shot_schedule(plan: ExperimentPlan, seq_index: int, process: ProcessSpec,
     meas_start = 2.0 * block + process.duration_us
     events += _block_events(1, meas[0], meas_start, t, noise)
     events += _block_events(2, meas[1], meas_start + block, t, noise)
-    events.sort(key=lambda e: e[0])
-
     arr = np.array(events, dtype=float).reshape(-1, 5)
-    sched = _ShotSchedule(times_us=arr[:, 0], kinds=arr[:, 1].astype(int),
-                          thetas=arr[:, 2], phi1=arr[:, 3], phi2=arr[:, 4])
-    _SCHEDULE_CACHE[key] = sched
-    return sched
+    return _ShotSchedule(times_us=arr[:, 0], kinds=arr[:, 1].astype(int),
+                         thetas=arr[:, 2], phi1=arr[:, 3], phi2=arr[:, 4])
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64 seeding
@@ -503,6 +497,12 @@ class ShotDataset:
         process = ProcessSpec.from_dict(meta["process"]) if "process" in meta \
             else ProcessSpec(meta["process_label"])
         timing = timing_from_dict(meta["timing"])
+        if ("process" in meta
+                and process.duration_us != timing.process_duration_us):
+            raise ValidationError(
+                f"meta.process.duration_us ({process.duration_us}) differs "
+                f"from meta.timing.process_duration_us "
+                f"({timing.process_duration_us})")
         shots = meta["shots"]
         if not _is_number(shots) or not float(shots).is_integer():
             raise ValidationError(f"meta.shots must be an integer, got {shots!r}")
@@ -600,12 +600,13 @@ def simulate_ramsey(delays_us, noise: NoiseModel, shots: int,
     projection noise.
     """
     delays_us = np.asarray(delays_us, dtype=float)
-    if shots < 1:
-        raise ValidationError(f"Ramsey shots must be >= 1, got {shots}")
     if not np.all(np.isfinite(delays_us) & (delays_us > 0)):
         raise ValidationError("Ramsey delays must be finite and positive")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
     phases = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
+    if shots < len(phases):
+        raise ValidationError(f"Ramsey shots must be >= {len(phases)}, one per "
+                              f"analysis phase, got {shots}")
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
     out = []
     for tau in delays_us:
         dphi = (2.0 * math.pi * noise.fast_freq_gaussian_sigma_hz * tau * 1e-6

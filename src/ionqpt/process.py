@@ -13,9 +13,6 @@ chi[II,XX] = -i/2.  Trace preservation is equivalent to Tr(chi) = 1.
 The Choi matrix J is the one other form of a map, ordered input (x) output:
 J = sum_ij |i><j| (x) E(|i><j|), so probabilities are Tr[J (rho^T (x) M)],
 E(rho) = Tr_in[J (rho^T (x) I)] and trace preservation is Tr_out J = I.
-``compose`` reshuffles J into the column-stacking superoperator, in which
-composition is a matrix product; the reshuffle is its own inverse (Wood,
-Biamonte & Cory, QIC 15, 759 (2015)).
 """
 from __future__ import annotations
 
@@ -32,7 +29,6 @@ from .qmath import (
     TRACE_TOL,
     ValidationError,
     hermiticity_deviation,
-    nearest_psd,
     pauli_labels_2q,
     require_hermitian,
     require_unitary,
@@ -46,7 +42,6 @@ __all__ = [
     "unitary_to_chi",
     "apply_process",
     "process_fidelity",
-    "compose",
     "extract_error_process",
     "validate_cptp",
     "chi_to_choi",
@@ -175,35 +170,22 @@ def _partial_trace_out(g: np.ndarray) -> np.ndarray:
     return np.einsum("iaja->ij", g.reshape(4, 4, 4, 4))
 
 
-def _reshuffle(m: np.ndarray) -> np.ndarray:
-    """Choi matrix J (input (x) output) <-> column-stacking superoperator S,
-    S[(b, a), (j, i)] = J[(i, a), (j, b)]; the map is its own inverse."""
-    return m.reshape(4, 4, 4, 4).transpose(3, 1, 2, 0).reshape(16, 16)
-
-
-def compose(first: ProcessMatrix, second: ProcessMatrix) -> ProcessMatrix:
-    """chi of rho -> E_second(E_first(rho)), via the superoperator product.
-
-    The result is not validated, so that an unphysical input (raw linear
-    inversion) stays reportable; two CPTP inputs give a CPTP result.
-    """
-    s = (_reshuffle(chi_to_choi(second.chi))
-         @ _reshuffle(chi_to_choi(first.chi)))
-    chi = choi_to_chi(_reshuffle(s))
-    return ProcessMatrix(0.5 * (chi + chi.conj().T), validate=False)
-
-
 def extract_error_process(chi_meas: ProcessMatrix,
                           u_ideal: np.ndarray) -> ProcessMatrix:
     """Error process chi_tilde with E_meas = U_ideal o E_tilde.
 
     The error acts before the ideal gate: E_meas(rho) = U E_tilde(rho) U^dag,
     which makes chi_tilde[II,II] equal the process fidelity versus the ideal
-    gate.
+    gate.  In Choi form this is one conjugation of the output factor,
+    J_tilde = (I (x) U^dag) J (I (x) U).  The result is Hermitized but not
+    validated, so that an unphysical input (raw linear inversion) stays
+    reportable.
     """
     u_ideal = np.asarray(u_ideal, dtype=complex)
     require_unitary(u_ideal, name="u_ideal")
-    return compose(chi_meas, unitary_to_chi(u_ideal.conj().T))
+    w = np.kron(np.eye(4), u_ideal.conj().T)
+    chi = choi_to_chi(w @ chi_to_choi(chi_meas.chi) @ w.conj().T)
+    return ProcessMatrix(0.5 * (chi + chi.conj().T), validate=False)
 
 
 def validate_cptp(chi: ProcessMatrix) -> CptpDiagnostics:
@@ -231,9 +213,13 @@ def choi_to_chi(choi: np.ndarray) -> np.ndarray:
 
 
 def project_to_physical(chi: np.ndarray) -> np.ndarray:
-    """Hermitize, clip negative eigenvalues, renormalize trace to 1."""
-    chi = 0.5 * (np.asarray(chi, dtype=complex) + np.asarray(chi).conj().T)
-    chi = nearest_psd(chi)
+    """Hermitize, clip negative eigenvalues, renormalize trace to 1.
+
+    Clipping in the eigenbasis gives the closest PSD matrix in Frobenius norm.
+    """
+    chi = np.asarray(chi, dtype=complex)
+    w, v = np.linalg.eigh(0.5 * (chi + chi.conj().T))
+    chi = (v * np.clip(w, 0.0, None)) @ v.conj().T
     tr = chi.trace().real
     if tr <= 0:
         raise ValidationError("chi has nonpositive trace after projection")

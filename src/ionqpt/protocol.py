@@ -92,9 +92,15 @@ class TimingModel:
     shot_overhead_ms: float = 10.0
 
     def __post_init__(self):
-        # Negative durations stay allowed, as for ProcessSpec.duration_us.
-        if not all(math.isfinite(v) for v in asdict(self).values()):
-            raise ValidationError("timing parameters must be finite")
+        for name, value in asdict(self).items():
+            if not (math.isfinite(value) and value >= 0):
+                raise ValidationError(
+                    f"timing {name} must be finite and >= 0, got {value}")
+        # A block's two pulses add up to one pi time and must fit in it.
+        if self.pulse_pi_us > self.composite_block_us:
+            raise ValidationError(
+                f"timing pulse_pi_us ({self.pulse_pi_us}) exceeds "
+                f"composite_block_us ({self.composite_block_us})")
 
     @property
     def in_sequence_us(self) -> float:

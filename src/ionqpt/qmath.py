@@ -23,7 +23,6 @@ __all__ = [
     "unitarity_deviation",
     "require_unitary",
     "matrix_exponential",
-    "nearest_psd",
 ]
 
 
@@ -112,17 +111,3 @@ def matrix_exponential(hermitian_generator: np.ndarray,
     require_hermitian(g, name="generator")
     w, v = np.linalg.eigh(g)
     return (v * np.exp(-1j * scale * w)) @ v.conj().T
-
-
-def nearest_psd(hermitian: np.ndarray) -> np.ndarray:
-    """Closest positive-semidefinite matrix in Frobenius norm.
-
-    Clips negative eigenvalues to zero in the eigenbasis; idempotent on PSD
-    inputs.
-    """
-    h = np.asarray(hermitian, dtype=complex)
-    require_hermitian(h)
-    h = 0.5 * (h + h.conj().T)
-    w, v = np.linalg.eigh(h)
-    w = np.clip(w, 0.0, None)
-    return (v * w) @ v.conj().T

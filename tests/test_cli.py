@@ -199,10 +199,12 @@ def test_reconstruct_bad_timing_exit_2(small_dataset, tmp_path, capsys,
     lambda doc: doc["meta"].update(shots=60.7),
     lambda doc: doc["records"][0].update(n2="32.0"),
     lambda doc: doc["meta"]["timing"].update(shot_overhead_ms=-1.0),
+    lambda doc: doc["meta"]["timing"].update(process_duration_us=-50.0),
+    lambda doc: doc["meta"]["timing"].update(process_duration_us=50.0),
 ], ids=["noise-unknown-key", "process-unknown-key", "noise-not-a-mapping",
         "top-level-list", "record-not-a-mapping", "noise-value-not-a-number",
         "process-without-label", "shots-not-an-integer", "count-a-string",
-        "negative-shot-period"])
+        "negative-shot-period", "negative-process-window", "window-mismatch"])
 def test_reconstruct_bad_meta_block_exit_2(small_dataset, tmp_path, capsys,
                                            edit):
     with open(small_dataset) as fh:
@@ -363,7 +365,8 @@ def test_ramsey_with_fit(tmp_path, capsys):
 def test_ramsey_bad_delays_exit_2(tmp_path, capsys):
     for args in (["--delays", "20,sixty"], ["--delays", "20,nan"],
                  ["--delays", "20,inf"], ["--delays", "20,0"],
-                 ["--shots", "-3"], ["--shots", "0"]):
+                 ["--shots", "-3"], ["--shots", "0"], ["--shots", "1"],
+                 ["--shots", "15"]):
         out = tmp_path / "r.csv"
         assert run("ramsey", *args, "-o", str(out)) == 2, args
         err = capsys.readouterr().err
@@ -447,6 +450,23 @@ def test_heating_bad_eta_exit_2(tmp_path, capsys, eta):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("times", [
+    [250.0] * 10,
+    [1.0] * 6 + [2.0, 3.0, 4.0, 5.0],
+], ids=["constant-time", "repeated-times"])
+def test_heating_degenerate_time_grid_exit_2(tmp_path, capsys, times):
+    csv_path = str(tmp_path / "sb.csv")
+    with open(csv_path, "w") as fh:
+        fh.write("time_us,signal\n")
+        fh.writelines(f"{t!r},{0.1 * i!r}\n" for i, t in enumerate(times))
+    out = tmp_path / "h.json"
+    assert run("heating", csv_path, "-o", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_heating_missing_file_exit_2(tmp_path):

@@ -23,7 +23,12 @@ from ionqpt.ionsim import (
     _shot_schedule,
     _shot_streams,
 )
-from ionqpt.protocol import build_plan, predict_p2, rotation_unitary
+from ionqpt.protocol import (
+    TimingModel,
+    build_plan,
+    predict_p2,
+    rotation_unitary,
+)
 from ionqpt.qmath import ValidationError
 
 
@@ -78,6 +83,10 @@ def test_process_spec():
             ProcessSpec.ms_plus(theta=bad)
         with pytest.raises(ValidationError):
             ProcessSpec("delay", duration_us=bad)
+    for label, bad in (("ms", -120.0), ("delay", -200.0)):
+        with pytest.raises(ValidationError, match="duration_us"):
+            ProcessSpec(label, duration_us=bad)
+    assert ProcessSpec("ms", duration_us=0.0).duration_us == 0.0
     np.testing.assert_allclose(ProcessSpec.identity().ideal_unitary(),
                                np.eye(4), atol=1e-15)
     u = ms.ideal_unitary()
@@ -125,6 +134,28 @@ def test_composite_rotation_miscalibration_is_differential():
     dev2 = np.max(np.abs(u2 - ideal2))
     assert dev1 > 0.01
     assert 0.0 < dev2 < dev1
+
+
+@pytest.mark.parametrize("pulse_pi_us", [0.0, 8.0, 25.0])
+def test_shot_schedule_is_time_ordered(pulse_pi_us):
+    for proc in (ProcessSpec.identity(), ProcessSpec("ms", duration_us=0.0),
+                 ProcessSpec.ms()):
+        plan = build_plan(proc.duration_us, shots=2,
+                          timing=TimingModel(pulse_pi_us=pulse_pi_us))
+        for k in range(256):
+            times = _shot_schedule(plan, k, proc, NoiseModel.none()).times_us
+            assert np.all(np.diff(times) >= 0), (proc.label, k)
+
+
+def test_shot_schedule_follows_the_timing():
+    proc = ProcessSpec.ms()
+    slow, fast = (build_plan(proc.duration_us, shots=2,
+                             timing=TimingModel(pulse_pi_us=t))
+                  for t in (8.0, 16.0))
+    a = _shot_schedule(slow, 255, proc, NoiseModel.none())
+    assert _shot_schedule(slow, 255, proc, NoiseModel.none()) is a
+    b = _shot_schedule(fast, 255, proc, NoiseModel.none())
+    assert not np.array_equal(a.times_us, b.times_us)
 
 
 def test_sample_trajectory_drift_constant_within_sequence():
@@ -346,7 +377,8 @@ def test_simulate_ramsey_rejects_nonpositive_delay():
     for delay in (math.nan, math.inf):
         with pytest.raises(ValidationError, match="delays"):
             simulate_ramsey([20.0, delay], NoiseModel.none(), shots=10)
-    for shots in (0, -3):
+    # the fit needs one shot per analysis phase
+    for shots in (0, -3, 15):
         with pytest.raises(ValidationError, match="shots"):
             simulate_ramsey([20.0], NoiseModel.none(), shots=shots)
 

@@ -10,7 +10,6 @@ from ionqpt.process import (
     chi_to_choi,
     chi_to_json_dict,
     choi_to_chi,
-    compose,
     extract_error_process,
     identity_chi,
     load_chi,
@@ -144,26 +143,6 @@ def test_fidelity_of_over_rotation_is_cos_squared():
     assert f == pytest.approx(math.cos(theta - math.pi / 4) ** 2, abs=1e-12)
 
 
-def test_compose_unitaries():
-    u, v = random_unitary(1), random_unitary(2)
-    chained = compose(unitary_to_chi(u), unitary_to_chi(v))
-    direct = unitary_to_chi(v @ u)
-    np.testing.assert_allclose(chained.chi, direct.chi, atol=1e-10)
-    # general channels: the composite acts as the first map, then the second
-    for seed in range(10):
-        a, b = random_cptp_chi(seed), random_cptp_chi(50 + seed, rank=2)
-        rho = random_density_matrix(100 + seed)
-        np.testing.assert_allclose(
-            apply_process(compose(a, b), rho),
-            apply_process(b, apply_process(a, rho)), rtol=0, atol=1e-12)
-
-
-def test_compose_with_inverse_gives_identity():
-    u = ms_unitary()
-    chi = compose(unitary_to_chi(u), unitary_to_chi(u.conj().T))
-    np.testing.assert_allclose(chi.chi, identity_chi().chi, atol=1e-12)
-
-
 def test_extract_error_process_identity_element_is_fidelity():
     u_ideal = ms_unitary()
     chi_meas = unitary_to_chi(ms_unitary(1.04))
@@ -173,6 +152,17 @@ def test_extract_error_process_identity_element_is_fidelity():
     # perfect gate -> identity error process
     perfect = extract_error_process(unitary_to_chi(u_ideal), u_ideal)
     np.testing.assert_allclose(perfect.chi, identity_chi().chi, atol=1e-12)
+
+
+def test_extract_error_process_matches_conjugation():
+    # E_meas = U o E_tilde, so E_tilde(rho) = U^dag E_meas(rho) U.
+    for u in (ms_unitary(), random_unitary(7)):
+        for seed in range(10):
+            chi = random_cptp_chi(seed, rank=1 + seed % 4)
+            rho = random_density_matrix(100 + seed)
+            np.testing.assert_allclose(
+                apply_process(extract_error_process(chi, u), rho),
+                u.conj().T @ apply_process(chi, rho) @ u, rtol=0, atol=1e-12)
 
 
 def test_validate_cptp_diagnostics():
@@ -209,6 +199,14 @@ def test_project_to_physical():
     fixed = project_to_physical(chi)
     assert np.linalg.eigvalsh(fixed)[0] >= -1e-12
     assert fixed.trace().real == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(project_to_physical(fixed), fixed, atol=1e-13)
+    # negative eigenvalues clip to 0, the rest keep their ratios
+    d = np.diag([1.0, -0.5, 0.25] + [0.0] * 13).astype(complex)
+    clipped = project_to_physical(d)
+    np.testing.assert_allclose(np.linalg.eigvalsh(clipped),
+                               [0.0] * 14 + [0.2, 0.8], atol=1e-12)
+    np.testing.assert_allclose(project_to_physical(clipped), clipped,
+                               atol=1e-13)
 
 
 def test_json_roundtrip(tmp_path):

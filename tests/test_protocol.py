@@ -64,6 +64,22 @@ def test_timing_model_durations():
     assert t.shot_period_s == pytest.approx(10e-3 + 220e-6)
 
 
+@pytest.mark.parametrize("field", ["composite_block_us", "pulse_pi_us",
+                                   "process_duration_us", "shot_overhead_ms"])
+def test_timing_model_rejects_negative_durations(field):
+    with pytest.raises(ValidationError, match=field):
+        TimingModel(**{field: -25.0})
+
+
+def test_timing_model_pulses_fit_in_their_block():
+    # The two pulses of a pi rotation last one pi time in all.
+    assert TimingModel(pulse_pi_us=25.0).pulse_pi_us == 25.0
+    with pytest.raises(ValidationError, match="pulse_pi_us"):
+        TimingModel(pulse_pi_us=80.0)
+    with pytest.raises(ValidationError, match="pulse_pi_us"):
+        TimingModel(composite_block_us=0.0)
+
+
 def test_prep_state_and_meas_operator():
     rho = prep_state((RotationSetting.ID, RotationSetting.ID))
     np.testing.assert_allclose(rho, np.outer(KET_SS, KET_SS), atol=1e-15)
@@ -144,8 +160,8 @@ def test_design_matrix_and_rank():
 
 def test_plan_rejects_nonpositive_shot_period():
     # A shot period of at most 0 s would start sequences out of order.
-    with pytest.raises(ValidationError, match="shot period"):
+    with pytest.raises(ValidationError, match="shot_overhead_ms"):
         build_plan(timing=TimingModel(shot_overhead_ms=-1.0))
     with pytest.raises(ValidationError, match="shot period"):
-        build_plan(timing=TimingModel(composite_block_us=0.0,
+        build_plan(timing=TimingModel(composite_block_us=0.0, pulse_pi_us=0.0,
                                       shot_overhead_ms=0.0))

@@ -9,7 +9,6 @@ from ionqpt.qmath import (
     ValidationError,
     hermiticity_deviation,
     matrix_exponential,
-    nearest_psd,
     pauli_labels_2q,
     require_hermitian,
     require_unitary,
@@ -77,14 +76,6 @@ def test_matrix_exponential_rejects_non_hermitian():
     g = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(ValidationError):
         matrix_exponential(g, 1.0)
-
-
-def test_nearest_psd_clips_and_is_idempotent():
-    h = np.diag([1.0, -0.5, 0.25, 0.0]).astype(complex)
-    p = nearest_psd(h)
-    np.testing.assert_allclose(np.linalg.eigvalsh(p),
-                               [0.0, 0.0, 0.25, 1.0], atol=1e-12)
-    np.testing.assert_allclose(nearest_psd(p), p, atol=1e-13)
 
 
 def test_default_tolerances():
