@@ -200,13 +200,6 @@ def test_project_to_physical():
     assert np.linalg.eigvalsh(fixed)[0] >= -1e-12
     assert fixed.trace().real == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_allclose(project_to_physical(fixed), fixed, atol=1e-13)
-    # negative eigenvalues clip to 0, the rest keep their ratios
-    d = np.diag([1.0, -0.5, 0.25] + [0.0] * 13).astype(complex)
-    clipped = project_to_physical(d)
-    np.testing.assert_allclose(np.linalg.eigvalsh(clipped),
-                               [0.0] * 14 + [0.2, 0.8], atol=1e-12)
-    np.testing.assert_allclose(project_to_physical(clipped), clipped,
-                               atol=1e-13)
 
 
 def test_json_roundtrip(tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ionqpt.process import project_to_physical
 from ionqpt.qmath import (
     HERMITICITY_TOL,
     PSD_EIGENVALUE_TOL,
@@ -76,6 +77,17 @@ def test_matrix_exponential_rejects_non_hermitian():
     g = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(ValidationError):
         matrix_exponential(g, 1.0)
+
+
+def test_nearest_psd_clips_and_is_idempotent():
+    # The PSD projection lives in process.project_to_physical, which also
+    # renormalizes the trace: negative eigenvalues clip to 0, the rest keep
+    # their ratios.
+    h = np.diag([1.0, -0.5, 0.25, 0.0]).astype(complex)
+    p = project_to_physical(h)
+    np.testing.assert_allclose(np.linalg.eigvalsh(p),
+                               [0.0, 0.0, 0.2, 0.8], atol=1e-12)
+    np.testing.assert_allclose(project_to_physical(p), p, atol=1e-13)
 
 
 def test_default_tolerances():
