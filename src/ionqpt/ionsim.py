@@ -494,11 +494,11 @@ class ShotDataset:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ShotDataset":
         meta = doc["meta"]
-        process = ProcessSpec.from_dict(meta["process"]) if "process" in meta \
-            else ProcessSpec(meta["process_label"])
+        if "process" not in meta:
+            raise ValidationError("meta.process is missing")
+        process = ProcessSpec.from_dict(meta["process"])
         timing = timing_from_dict(meta["timing"])
-        if ("process" in meta
-                and process.duration_us != timing.process_duration_us):
+        if process.duration_us != timing.process_duration_us:
             raise ValidationError(
                 f"meta.process.duration_us ({process.duration_us}) differs "
                 f"from meta.timing.process_duration_us "

@@ -2,14 +2,22 @@
 
 Preparation and measurement settings are drawn from four rotations per ion
 (identity, X pi, X pi/2, Y pi/2) applied to ions initialized in |SS>, with
-collective detection of the both-bright probability P2.  Every plan runs the
-256 ``SEQUENCES`` in lexicographic order, preparation pair outer and
-measurement pair inner: k = 16*(4*p1 + p2) + (4*m1 + m2).
+collective detection of the both-bright probability P2.  The 16 two-ion
+``SETTINGS`` serve both stages, and every plan runs the 256 ``SEQUENCES`` in
+lexicographic order, preparation outer and measurement inner: sequence
+k = 16*a + b prepares rho_a and measures M_b.
 
-The forward model is one real matrix, the effect matrix F of
-``effect_matrix``: P2 of sequence k is Tr(J E_k) for the Choi matrix J of
-the process and E_k = rho_k^T (x) M_k.  Prediction (``predict_p2``), linear
-inversion (``inversion_map``) and the MLE in ``recon`` all read F.
+P2 of sequence k is Tr(J E_k) for the Choi matrix J of the process, indexed
+(in, out) x (in', out'), and the effect E_k = rho_a^T (x) M_b.  The design
+is a product of 16 preparations and 16 measurements, so as a 16x16 matrix
+P[a, b] the probabilities are P = A Jr B^T (Van Loan, J. Comput. Appl.
+Math. 123, 85 (2000)).  Here Jr is J reshuffled to (in, in') x (out, out'),
+A[a, (i, i')] = rho_a[i, i'] and B[b, (o, o')] = M_b[o', o]; both factors
+(``design_factors``) have rank 16.  Three maps follow, and prediction
+(``predict_p2``), linear inversion and the MLE in ``recon`` read only them:
+``forward_p2`` is P = A Jr B^T, ``adjoint_p2`` is sum_k w_k E_k, the
+reshuffle of A^H W conj(B), and ``invert_p2`` is Jr = A^-1 P B^-T, the one
+J that reproduces P exactly.
 """
 from __future__ import annotations
 
@@ -27,6 +35,7 @@ from .qmath import ValidationError, hermiticity_deviation
 __all__ = [
     "RotationSetting",
     "TimingModel",
+    "SETTINGS",
     "SEQUENCES",
     "ExperimentPlan",
     "rotation_unitary",
@@ -36,8 +45,10 @@ __all__ = [
     "meas_operator",
     "predict_p2",
     "design_rank",
-    "effect_matrix",
-    "inversion_map",
+    "design_factors",
+    "forward_p2",
+    "adjoint_p2",
+    "invert_p2",
 ]
 
 KET_SS = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
@@ -57,9 +68,12 @@ class RotationSetting(enum.Enum):
         self.phi = phi
 
 
-# (prep pair, meas pair) of sequence k = 16*(4*p1 + p2) + (4*m1 + m2).
-SEQUENCES = tuple(itertools.product(
-    itertools.product(RotationSetting, repeat=2), repeat=2))
+# The 16 two-ion settings (r1, r2), index 4*r1 + r2, used both to prepare
+# and to measure.
+SETTINGS = tuple(itertools.product(RotationSetting, repeat=2))
+# (prep, meas) of sequence k = 16*a + b, for prep SETTINGS[a] and meas
+# SETTINGS[b].
+SEQUENCES = tuple(itertools.product(SETTINGS, repeat=2))
 
 
 def rotation_unitary(theta: float, phi: float) -> np.ndarray:
@@ -160,39 +174,42 @@ def meas_operator(pair: tuple[RotationSetting, RotationSetting]) -> np.ndarray:
 _BOUNDARY_TOL = 1e-10
 
 
-def sequence_operators() -> tuple[np.ndarray, np.ndarray]:
-    """Stacked prep states and measurement operators, each (256, 4, 4)."""
-    rho = np.stack([prep_state(prep) for prep, _ in SEQUENCES])
-    mop = np.stack([meas_operator(meas) for _, meas in SEQUENCES])
-    return rho, mop
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 @functools.cache
-def effect_matrix() -> tuple[np.ndarray, np.ndarray]:
-    """Real form of the Choi-space forward map, and the transposed prep states.
+def design_factors() -> tuple[np.ndarray, np.ndarray]:
+    """The read-only 16x16 factors A and B of the forward model.
 
-    Row k of the complex effect matrix E is vec(rho_k^T (x) M_k), so that
-    p_k = Tr(J E_k) for a Choi matrix J.  Each E_k is Hermitian, so
-    Tr(J E_k) = sum_ab (Re E_k Re J + Im E_k Im J)_ab.  The first array F,
-    shape (256, 512), is E with the real and imaginary part of each entry
-    in adjacent columns, numpy's memory layout of a complex array.  For a
-    C-contiguous complex J, F @ J.view(float).ravel() is therefore p, and
-    (w @ F).view(complex) is vec R for R = sum_k w_k E_k.  The second array,
-    shape (256, 16), holds vec(rho_k^T) row by row.  Both are built once and
-    are read-only, since every caller gets the same arrays.
+    Row a of A is vec(rho_a) of preparation a, and row b of B is vec(M_b^T)
+    of measurement b, both for the ``SETTINGS`` in order.
     """
-    rho, mop = sequence_operators()
-    n = len(rho)
-    e = np.einsum("kba,kcd->kacbd", rho, mop).reshape(n, 256)
-    # Column-major storage makes both matrix-vector products faster.
-    forward = np.asfortranarray(np.ascontiguousarray(e).view(np.float64))
-    rho_t = rho.transpose(0, 2, 1).reshape(n, 16).copy()
-    return _read_only(forward), _read_only(rho_t)
+    a = np.stack([prep_state(s) for s in SETTINGS]).reshape(16, 16)
+    b = np.stack([meas_operator(s).T for s in SETTINGS]).reshape(16, 16)
+    a.flags.writeable = b.flags.writeable = False
+    return a, b
+
+
+def _reshuffle(m: np.ndarray) -> np.ndarray:
+    """(in, out) x (in', out') <-> (in, in') x (out, out'); its own inverse."""
+    return m.reshape(4, 4, 4, 4).transpose(0, 2, 1, 3).reshape(16, 16)
+
+
+def forward_p2(j: np.ndarray) -> np.ndarray:
+    """Re Tr(J E_k) of a Choi matrix J for every sequence, in order k; the
+    imaginary part is 0 when J is Hermitian."""
+    a, b = design_factors()
+    return (a @ _reshuffle(j) @ b.T).real.ravel()
+
+
+def adjoint_p2(w: np.ndarray) -> np.ndarray:
+    """sum_k w_k E_k of real weights w, in order k."""
+    a, b = design_factors()
+    return _reshuffle(a.conj().T @ w.reshape(16, 16) @ b.conj())
+
+
+def invert_p2(p: np.ndarray) -> np.ndarray:
+    """The one Choi matrix J with Tr(J E_k) = p_k for every k."""
+    a, b = design_factors()
+    x = np.linalg.solve(a, p.reshape(16, 16))
+    return _reshuffle(np.linalg.solve(b, x.T).T)
 
 
 # predict_p2 and design_rank read no field of ``plan``: every plan runs the
@@ -200,12 +217,12 @@ def effect_matrix() -> tuple[np.ndarray, np.ndarray]:
 # unchanged) passes one.
 def predict_p2(chi: ProcessMatrix, plan: ExperimentPlan) -> np.ndarray:
     """Predicted both-bright probability of every sequence, in order k."""
-    # F is real, so it would silently drop an anti-Hermitian part of chi.
+    # A non-Hermitian chi gives complex probabilities, whose imaginary part
+    # forward_p2 would drop.
     if hermiticity_deviation(chi.chi) > 1e-8:
         raise ValidationError("forward model produced complex probabilities; "
                               "chi violates Hermiticity")
-    choi = np.ascontiguousarray(chi_to_choi(chi.chi))
-    p = effect_matrix()[0] @ choi.view(float).ravel()
+    p = forward_p2(chi_to_choi(chi.chi))
     if p.min() < -_BOUNDARY_TOL or p.max() > 1.0 + _BOUNDARY_TOL:
         raise ValidationError(
             f"probability outside [0,1]: range [{p.min():.3e}, {p.max():.3e}]; "
@@ -213,30 +230,11 @@ def predict_p2(chi: ProcessMatrix, plan: ExperimentPlan) -> np.ndarray:
     return np.clip(p, 0.0, 1.0)
 
 
-@functools.cache
-def inversion_map() -> tuple[int, np.ndarray]:
-    """Rank of the effect matrix, and its least-squares inverse.
-
-    The map L = pinv(F), for F from ``effect_matrix``, gives the
-    minimum-norm least-squares Choi matrix from frequencies f as
-    (L @ f).view(complex).reshape(16, 16).  F's row space holds only
-    Hermitian J, so that J is Hermitian, and it is the one least-squares fit
-    among Hermitian J.  The rank counts the singular values above
-    max(F.shape) * eps times the largest, the cutoff of numpy's ``lstsq``
-    and ``matrix_rank``; the four settings make it 256, the number of real
-    parameters of a Hermitian J, so L inverts every singular value.
-    """
-    forward, _ = effect_matrix()
-    # F^T = U S V^T is C-contiguous, LAPACK's faster layout here, and
-    # pinv(F) = U S^-1 V^T.
-    u, s, vt = np.linalg.svd(forward.T, full_matrices=False)
-    rank = int(np.sum(s > s[0] * max(forward.shape) * np.finfo(float).eps))
-    return rank, _read_only((u / s) @ vt)
-
-
 def design_rank(plan: ExperimentPlan) -> int:
-    """Rank of the chi -> probabilities map; 256 for the four settings."""
-    return inversion_map()[0]
+    """Rank of the chi -> probabilities map, rank(A) rank(B); 256 for the
+    four settings."""
+    a, b = design_factors()
+    return int(np.linalg.matrix_rank(a) * np.linalg.matrix_rank(b))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,8 @@
 """Reconstruction of chi from shot datasets.
 
-``linear_inversion`` fits the Choi matrix to the frequencies by least squares
-through the pseudo-inverse of the effect matrix, computed once
-(``protocol.inversion_map``); it is fast but can return unphysical (non-PSD)
-matrices when the data are noisy.
+``linear_inversion`` solves for the one Choi matrix that reproduces the
+frequencies exactly (``protocol.invert_p2``); it is fast but can return
+unphysical (non-PSD) matrices when the data are noisy.
 ``mle_reconstruct`` maximizes the per-sequence binomial likelihood of the
 both-bright counts over CPTP maps, parameterized by the Choi matrix J, with
 the diluted fixed-point iteration of Jezek, Fiurasek & Hradil, PRA 68, 012305
@@ -21,13 +20,13 @@ herm Tr_out(R J).  log L is concave and Tr(R J') <= Tr Lambda for every CPTP
 J' once Lambda (x) I >= R, so the gap bounds log L* - log L(J) over all CPTP
 maps; the solve stops once it is at most ``MleConfig.gap_tolerance``.
 
-Both halves of an iteration read the effect matrix E, whose
-row k is vec(rho_k^T (x) M_k) (``protocol.effect_matrix``, kept as a real
-matrix F, the package's one forward model).  p_k = Tr(J E_k) is one product
-of F with the real view of vec J.
-With w = n2/p - n_other/(1-p) and b = n_other/(1-p), the gradient operator
-is R = sum_k w_k E_k + (sum_k b_k rho_k^T) (x) I, because the effect of the
-other outcomes is rho_k^T (x) I - E_k: one product w @ F plus a 16-term sum.
+Both halves of an iteration read the forward model of ``protocol``: sequence
+k = 16*a + b prepares rho_a and has the both-bright effect
+E_k = rho_a^T (x) M_b.  p_k = Tr(J E_k) is ``forward_p2``.  With
+w = n2/p - n_other/(1-p) and b = n_other/(1-p), the gradient operator is
+R = sum_k w_k E_k + (sum_k b_k rho_a^T) (x) I, because the effect of the
+other outcomes is rho_a^T (x) I - E_k: ``adjoint_p2`` of w plus the 16
+preparations weighted by the row sums of b over the measurements.
 """
 from __future__ import annotations
 
@@ -46,7 +45,7 @@ from .process import (
     project_to_physical,
     unitary_to_chi,
 )
-from .protocol import effect_matrix, inversion_map
+from .protocol import SETTINGS, adjoint_p2, forward_p2, invert_p2, prep_state
 from .qmath import PSD_EIGENVALUE_TOL, ValidationError
 
 __all__ = [
@@ -114,10 +113,9 @@ class BootstrapReport:
 
 def linear_inversion(dataset: ShotDataset
                      ) -> tuple[ProcessMatrix, LinearInversionDiagnostics]:
-    """Least-squares chi from frequencies; Hermitian and trace-normalized but
-    not necessarily PSD."""
-    _, inverse = inversion_map()
-    j = (inverse @ dataset.frequencies).view(complex).reshape(16, 16)
+    """chi by exact linear inversion of the frequencies; Hermitian and
+    trace-normalized but not necessarily PSD."""
+    j = invert_p2(dataset.frequencies)
     chi = choi_to_chi(0.5 * (j + j.conj().T))
     raw_trace = float(chi.trace().real)
     chi = chi / raw_trace
@@ -129,6 +127,8 @@ def linear_inversion(dataset: ShotDataset
 
 _EYE4 = np.eye(4)
 _EYE16 = np.eye(16)
+# rho_a^T of the 16 preparations, in the order of a.
+_PREPS_T = np.stack([prep_state(s).T for s in SETTINGS])
 # Predicted probabilities are clipped to [floor, 1 - floor] so that log L
 # stays finite.
 _PROBABILITY_FLOOR = 1e-12
@@ -174,19 +174,16 @@ def _likelihood(dataset: ShotDataset):
     shots = dataset.plan.shots_per_sequence
     n2 = dataset.n2
     n_other = shots - n2
-    forward, rho_t = effect_matrix()
 
     def evaluate(j: np.ndarray) -> tuple[np.ndarray, float]:
-        # j is C-contiguous complex, so its float view is vec J with Re and
-        # Im interleaved, the column order of ``forward``.
-        p = np.clip(forward @ j.view(float).ravel(), _PROBABILITY_FLOOR,
-                    1.0 - _PROBABILITY_FLOOR)
+        p = np.clip(forward_p2(j), _PROBABILITY_FLOOR, 1.0 - _PROBABILITY_FLOOR)
         return p, float(n2 @ np.log(p) + n_other @ np.log1p(-p))
 
     def gradient(p: np.ndarray) -> np.ndarray:
         b = n_other / (1.0 - p)
-        return (((n2 / p - b) @ forward).view(complex).reshape(16, 16)
-                + _kron_eye4((b @ rho_t).reshape(4, 4)))
+        prep_sums = b.reshape(16, 16).sum(axis=1)
+        return (adjoint_p2(n2 / p - b)
+                + _kron_eye4(np.tensordot(prep_sums, _PREPS_T, 1)))
 
     return evaluate, gradient
 

@@ -220,6 +220,24 @@ def test_reconstruct_bad_meta_block_exit_2(small_dataset, tmp_path, capsys,
     assert err.count("\n") == 1
 
 
+def test_reconstruct_dataset_without_process_exit_2(small_dataset, tmp_path,
+                                                   capsys):
+    # The label alone would load the label's class defaults, a 120 us window
+    # and theta pi/4, whatever the dataset ran.
+    with open(small_dataset) as fh:
+        doc = json.load(fh)
+    del doc["meta"]["process"]
+    assert "process_label" in doc["meta"]
+    path = str(tmp_path / "no_process.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    assert run("reconstruct", path, "-o", str(tmp_path / "chi.json")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "meta.process" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "chi.json").exists()
+
+
 def test_reconstruct_accepts_integral_float_shots(small_dataset, tmp_path):
     with open(small_dataset) as fh:
         doc = json.load(fh)

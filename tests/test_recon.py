@@ -12,16 +12,20 @@ from ionqpt.ionsim import (
 from ionqpt.process import (
     ProcessMatrix,
     apply_process,
+    chi_to_choi,
     process_fidelity,
     validate_cptp,
 )
 from ionqpt.protocol import (
+    SEQUENCES,
+    adjoint_p2,
     build_plan,
+    design_factors,
     design_rank,
-    effect_matrix,
-    inversion_map,
+    forward_p2,
+    meas_operator,
     predict_p2,
-    sequence_operators,
+    prep_state,
 )
 from ionqpt.qmath import ValidationError, two_qubit_pauli_basis
 from ionqpt.recon import (
@@ -182,15 +186,23 @@ def _random_cptp_chi(rng) -> ProcessMatrix:
     return chi
 
 
+def sequence_operators() -> tuple[np.ndarray, np.ndarray]:
+    """Stacked prep states and measurement operators, each (256, 4, 4)."""
+    rho = np.stack([prep_state(prep) for prep, _ in SEQUENCES])
+    mop = np.stack([meas_operator(meas) for _, meas in SEQUENCES])
+    return rho, mop
+
+
 def test_predict_p2_matches_chi_space_oracle():
     # The oracle applies chi in the Pauli basis, never forming a Choi matrix:
     # p_k = Tr(M_k E(rho_k)).
     plan = build_plan(shots=10)
-    forward, rho_t = effect_matrix()
-    assert not forward.flags.writeable and not rho_t.flags.writeable
+    a, b = design_factors()
+    assert not a.flags.writeable and not b.flags.writeable
     rho, mop = sequence_operators()
-    np.testing.assert_array_equal(rho_t.reshape(-1, 4, 4),
-                                  rho.transpose(0, 2, 1))
+    np.testing.assert_array_equal(a.reshape(-1, 4, 4), rho[::16])
+    np.testing.assert_array_equal(b.reshape(-1, 4, 4),
+                                  mop[:16].transpose(0, 2, 1))
     rng = np.random.default_rng(2024)
     for _ in range(5):
         chi = _random_cptp_chi(rng)
@@ -202,9 +214,10 @@ def test_predict_p2_matches_chi_space_oracle():
 
 def test_inversion_map_rank_and_exact_recovery():
     plan = build_plan(shots=10)
-    rank, inverse = inversion_map()
-    assert rank == design_rank(plan) == 256
-    assert inverse.shape == (512, 256) and not inverse.flags.writeable
+    assert design_rank(plan) == 256
+    a, b = design_factors()
+    assert np.linalg.matrix_rank(a) == np.linalg.matrix_rank(b) == 16
+    assert not a.flags.writeable and not b.flags.writeable
     rng = np.random.default_rng(7)
     for _ in range(5):
         chi = _random_cptp_chi(rng)
@@ -213,6 +226,23 @@ def test_inversion_map_rank_and_exact_recovery():
         recovered, diag = linear_inversion(ds)
         assert diag.raw_trace == pytest.approx(1.0, abs=1e-10)
         np.testing.assert_allclose(recovered.chi, chi.chi, rtol=0, atol=1e-10)
+
+
+def test_kronecker_maps_match_einsum_effects():
+    # The effects built one by one as rho_k^T (x) M_k, as the forward model
+    # was first written; the factored maps must agree with them.
+    rho, mop = sequence_operators()
+    effects = np.einsum("kba,kcd->kacbd", rho, mop).reshape(256, 16, 16)
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        j = chi_to_choi(_random_cptp_chi(rng).chi)
+        np.testing.assert_allclose(forward_p2(j),
+                                   np.einsum("ab,kba->k", j, effects).real,
+                                   rtol=0, atol=1e-13)
+        w = rng.normal(size=256)
+        np.testing.assert_allclose(adjoint_p2(w),
+                                   np.einsum("k,kab->ab", w, effects),
+                                   rtol=0, atol=1e-12)
 
 
 def _einsum_mle_choi(dataset, steps):

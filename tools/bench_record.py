@@ -8,7 +8,9 @@ workload and end-to-end metric the record holds each commit's median and
 quartiles over the pairs, the change/parent ratio of the medians and the
 number of pairs the change won. It also holds the failed share of commands,
 the machine, both git SHAs, the thread variables of the benchmark's rounds
-and the wall time of the Tier-1 suite on each commit.
+and the wall time of the Tier-1 suite on each commit, with the duration of
+each test in ``tests/test_acceptance.py`` (its setup, call and teardown, as
+pytest's JUnit XML reports it), so a record shows which criterion moved.
 
     python3 tools/bench_record.py --parent HEAD~1 --change HEAD --seed 501 \\
         -o BENCH_<n>.json
@@ -25,6 +27,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import xml.etree.ElementTree as ET
 
 TIER1 = [sys.executable, "-m", "pytest", "-q",
          "--continue-on-collection-errors"]
@@ -63,12 +66,21 @@ def round_threads(path: str) -> dict:
 
 def run_tier1(path: str) -> dict:
     env = dict(os.environ, PYTHONPATH="src")
+    junit = os.path.join(path, "tier1-junit.xml")
     start = time.perf_counter()
-    proc = subprocess.run(TIER1, cwd=path, env=env, capture_output=True,
-                          text=True)
+    proc = subprocess.run(TIER1 + ["--junitxml", junit], cwd=path, env=env,
+                          capture_output=True, text=True)
+    wall_s = time.perf_counter() - start
     lines = proc.stdout.strip().splitlines()
-    return {"wall_s": round(time.perf_counter() - start, 1),
-            "summary": lines[-1] if lines else "", "exit_code": proc.returncode}
+    acceptance = {}
+    if os.path.exists(junit):
+        for case in ET.parse(junit).iter("testcase"):
+            if case.get("classname") == "tests.test_acceptance":
+                acceptance[case.get("name")] = round(float(case.get("time")),
+                                                     2)
+    return {"wall_s": round(wall_s, 1),
+            "summary": lines[-1] if lines else "", "exit_code": proc.returncode,
+            "acceptance_s": acceptance}
 
 
 def spread(values: list[float]) -> dict:
@@ -154,7 +166,7 @@ def main() -> int:
                           "pairs": PAIRS, "seeds": seeds,
                           "workloads": workloads},
             "tier1": {"command": "PYTHONPATH=src " + " ".join(
-                ["python"] + TIER1[1:])},
+                ["python"] + TIER1[1:] + ["--junitxml", "tier1-junit.xml"])},
         }
         for name in ("parent", "change"):
             record["tier1"][name] = run_tier1(commits[name][1])
