@@ -179,6 +179,8 @@ def _write_amplitude_csvs(prefix: str, chi: ProcessMatrix) -> None:
 
 
 def cmd_report(args) -> int:
+    if args.replicas < 2:
+        raise InputError(f"--replicas must be at least 2, got {args.replicas}")
     chi = _load_chi(args.chi)
     ideal = _PROCESSES[args.ideal](args.theta)
     fid = process_fidelity(chi, ideal.ideal_chi())

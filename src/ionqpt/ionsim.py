@@ -10,16 +10,22 @@ scaling.  The entangling-gate propagator is applied at the midpoint of the
 process window with its rotation axes following the accrued laser phase, so
 free evolution before and after the gate dephases the surrounding pulses.
 
-All shots of a sequence are simulated in one vectorized pass.  Only the
-column of the shot unitary that acts on |SS> is needed, so each shot carries
-the amplitudes psi[ion 1, ion 2] of that state: a pulse is psi <- A psi B^T
-with batched closed-form rotations A and B, and the gate mixes psi with its
-both-ions-flipped image.
+A dataset is simulated in one pass.  The 256 sequences fall into 16 event
+layouts, one for each choice of which of the four composite blocks are
+identities; the sequences of a layout have their events in the same places,
+so the amplitudes of all their shots evolve together, as (sequence, shot)
+arrays.  Only the column of the shot unitary that acts on |SS> is needed,
+so each shot carries the amplitudes psi[ion 1, ion 2] of that state: a pulse
+is psi <- A psi B^T with batched closed-form rotations A and B, and the gate
+mixes psi with its both-ions-flipped image.
 
 Datasets are deterministic for a fixed seed under any execution order: shot s
 of sequence k draws from its own stream, numpy's
-PCG64(SeedSequence(seed, spawn_key=(k, s))).  The streams of a sequence are
-derived together in numpy and set in turn on one reused generator.
+PCG64(SeedSequence(seed, spawn_key=(k, s))).  The streams of all shots are
+derived together in numpy arrays and set in turn on one reused generator.
+That loop, about 5 us per shot on a 2-vCPU x86-64 machine, is what is left
+per shot: a 30-shot dataset takes about 5.5 us per shot in all, and a
+500-shot one about 5 us.
 """
 from __future__ import annotations
 
@@ -208,19 +214,20 @@ def _block_pulse_params(target_ion: int, total_theta: float, total_phi: float,
 # Shot schedule and noise trajectories
 # ---------------------------------------------------------------------------
 
-_KIND_PULSE = 0
-_KIND_MS = 1
-
-
 @dataclass(frozen=True)
-class _ShotSchedule:
-    """Time-ordered laser events of one sequence (static part, no noise draws)."""
+class _Layout:
+    """The sequences whose ``ID`` blocks sit in the same places, so that
+    their events line up; row r is sequence ``seqs[r]`` (static part, no
+    noise draws)."""
 
-    times_us: np.ndarray      # event midpoints from shot start
-    kinds: np.ndarray         # _KIND_PULSE or _KIND_MS
-    thetas: np.ndarray        # pulse areas (MS entry holds the gate angle)
-    phi1: np.ndarray          # static phase, ion 1 (incl. miscalibrations)
+    seqs: np.ndarray          # (n,) sequence indices, ascending
+    gate: int | None          # event index of the entangling gate, if any
+    times_us: np.ndarray      # (n, e) event midpoints from shot start
+    thetas: np.ndarray        # (n, e) pulse areas (the gate holds its angle)
+    phi1: np.ndarray          # (n, e) static phase, ion 1, miscalibrated
     phi2: np.ndarray
+    cos: np.ndarray           # (n, e) cos(theta / 2)
+    sin: np.ndarray           # (n, e) -i sin(theta / 2)
 
 
 def _block_events(target: int, setting: RotationSetting, block_start_us: float,
@@ -234,36 +241,56 @@ def _block_events(target: int, setting: RotationSetting, block_start_us: float,
     t_first = block_start_us + 0.5 * dur
     t_second = block_start_us + timing.composite_block_us - 0.5 * dur
     (th_a, a1, a2), (th_b, b1, b2) = pulses
-    return [(t_first, _KIND_PULSE, th_a, a1, a2),
-            (t_second, _KIND_PULSE, th_b, b1, b2)]
+    return [(t_first, th_a, a1, a2), (t_second, th_b, b1, b2)]
 
 
 @functools.cache
-def _shot_schedule(plan: ExperimentPlan, seq_index: int, process: ProcessSpec,
-                   noise: NoiseModel) -> _ShotSchedule:
-    """Events in the order they are built, which is time order: a block's two
-    pulses fit in it (``TimingModel`` checks pulse_pi_us <= composite_block_us)
-    and every duration is nonnegative."""
+def _shot_schedule(plan: ExperimentPlan, process: ProcessSpec,
+                   noise: NoiseModel) -> tuple[_Layout, ...]:
+    """The events of all sequences, stacked per layout: one ``_Layout`` for
+    each choice of which of the four blocks are ``ID``.
+
+    A sequence's events are built in time order: a block's two pulses fit in
+    it (``TimingModel`` checks pulse_pi_us <= composite_block_us) and every
+    duration is nonnegative.  sin is taken over one sequence's events at a
+    time and cos per pulse, so that no value depends on how the sequences
+    are stacked.
+    """
     t = plan.timing
-    prep, meas = SEQUENCES[seq_index]
     block = t.composite_block_us
-    events: list[tuple] = []
-    events += _block_events(1, prep[0], 0.0, t, noise)
-    events += _block_events(2, prep[1], block, t, noise)
-    if process.is_entangling:
-        events.append((2.0 * block + 0.5 * process.duration_us, _KIND_MS,
-                       process.theta, 0.0, 0.0))
     meas_start = 2.0 * block + process.duration_us
-    events += _block_events(1, meas[0], meas_start, t, noise)
-    events += _block_events(2, meas[1], meas_start + block, t, noise)
-    arr = np.array(events, dtype=float).reshape(-1, 5)
-    return _ShotSchedule(times_us=arr[:, 0], kinds=arr[:, 1].astype(int),
-                         thetas=arr[:, 2], phi1=arr[:, 3], phi2=arr[:, 4])
+    groups: dict[tuple[bool, ...], list[int]] = {}
+    for k, (prep, meas) in enumerate(SEQUENCES):
+        ids = tuple(r is RotationSetting.ID for r in prep + meas)
+        groups.setdefault(ids, []).append(k)
+    layouts = []
+    for seqs in groups.values():
+        rows = []
+        for k in seqs:
+            prep, meas = SEQUENCES[k]
+            events = (_block_events(1, prep[0], 0.0, t, noise)
+                      + _block_events(2, prep[1], block, t, noise))
+            gate = len(events) if process.is_entangling else None
+            if process.is_entangling:
+                events.append((2.0 * block + 0.5 * process.duration_us,
+                               process.theta, 0.0, 0.0))
+            events += _block_events(1, meas[0], meas_start, t, noise)
+            events += _block_events(2, meas[1], meas_start + block, t, noise)
+            rows.append(np.array(events, dtype=float).reshape(-1, 4))
+        arr = np.stack(rows)
+        thetas = arr[..., 1]
+        layouts.append(_Layout(
+            seqs=np.array(seqs), gate=gate, times_us=arr[..., 0],
+            thetas=thetas, phi1=arr[..., 2], phi2=arr[..., 3],
+            cos=np.array([[math.cos(th / 2) for th in row] for row in thetas],
+                         dtype=float).reshape(thetas.shape),
+            sin=np.stack([-1j * np.sin(row / 2) for row in thetas])))
+    return tuple(layouts)
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64 seeding
 # (numpy/random/src/pcg64/pcg64.h), restated so that the streams of all
-# shots of a sequence are derived in a few array operations.
+# shots of a dataset are derived in a few array operations.
 _MASK32 = 0xFFFFFFFF
 _MASK128 = (1 << 128) - 1
 _HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
@@ -291,15 +318,15 @@ def _mix(x, y):
     return r ^ r >> 16
 
 
-def _shot_streams(seed: int, seq_index: int, shots: int
-                  ) -> list[tuple[int, int]]:
-    """PCG64 ``(state, inc)`` of ``SeedSequence(seed, spawn_key=(seq_index,
-    s))`` for every shot ``s`` of one sequence.
+def _shot_streams(seed: int, shots: int):
+    """Yield, for each sequence k in turn, the PCG64 ``(state, inc)`` of
+    ``SeedSequence(seed, spawn_key=(k, s))`` for every shot ``s``.
 
     The entropy words are the little-endian uint32 words of the seed, padded
-    with zeros to the pool size, then ``seq_index`` and ``s``.  Every word but
-    the last is the same for all shots and is mixed in Python ints; the shot
-    index is mixed into the four pool words as arrays over the shots.
+    with zeros to the pool size, then k and s.  The seed words are mixed in
+    Python ints, k as an array over the sequences and s as an array over
+    (sequence, shot).  A sequence's states become Python ints only when the
+    caller reaches it.
     """
     seed = operator.index(seed)
     if seed < 0:
@@ -307,10 +334,10 @@ def _shot_streams(seed: int, seq_index: int, shots: int
     words = [seed & _MASK32]
     while seed := seed >> 32:
         words.append(seed & _MASK32)
-    entropy = words + [0] * (_POOL_SIZE - len(words)) + [seq_index]
+    entropy = words + [0] * (_POOL_SIZE - len(words))
     # hashmix advances one shared constant per call: 4 to fill the pool, 12
-    # to cross-mix it, then 4 for each further word, the shot index included.
-    n_calls = _POOL_SIZE * (len(entropy) + 1)
+    # to cross-mix it, then 4 for each further word, k and s included.
+    n_calls = _POOL_SIZE * (len(entropy) + 2)
     h = _hash_constants(_HASH_INIT_A, _HASH_MULT_A, n_calls)
     pool = [_hashmix(w, h[i], h[i + 1])
             for i, w in enumerate(entropy[:_POOL_SIZE])]
@@ -326,75 +353,103 @@ def _shot_streams(seed: int, seq_index: int, shots: int
             pool[dst] = _mix(pool[dst], _hashmix(w, h[c], h[c + 1]))
             c += 1
 
-    def col(values):
-        return np.array(values, dtype=np.uint32)[:, None]
-
-    shot = np.arange(shots, dtype=np.uint32)
-    pool = _mix(col(pool), _hashmix(shot, col(h[c:-1]), col(h[c + 1:])))
-    # generate_state(4, uint64): 8 uint32 words, cycling over the pool, with
-    # the same hash as hashmix.
+    # Pool word dst takes in k, then s, with its own constants, and yields
+    # state words dst and dst + 4: generate_state(4, uint64) draws 8 uint32
+    # words, cycling over the pool, with the same hash as hashmix.  One pool
+    # word at a time, so that only the output has the size of all streams.
     g = _hash_constants(_HASH_INIT_B, _HASH_MULT_B, 8)
-    words = _hashmix(np.concatenate([pool, pool]), col(g[:-1]), col(g[1:]))
-    streams = []
-    for s_hi, s_lo, i_hi, i_lo in np.ascontiguousarray(
-            words.T, dtype="<u4").view("<u8").tolist():
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
-        streams.append((state, inc))
-    return streams
+    seq = np.arange(len(SEQUENCES), dtype=np.uint32)[:, None]
+    shot = np.arange(shots, dtype=np.uint32)
+    words = np.empty((len(SEQUENCES), shots, 2 * _POOL_SIZE), dtype="<u4")
+    for dst in range(_POOL_SIZE):
+        ck, cs = c + dst, c + _POOL_SIZE + dst
+        mixed = _mix(pool[dst], _hashmix(seq, h[ck], h[ck + 1]))
+        mixed = _mix(mixed, _hashmix(shot, h[cs], h[cs + 1]))
+        for j in (dst, dst + _POOL_SIZE):
+            words[:, :, j] = _hashmix(mixed, g[j], g[j + 1])
+    for seq_words in words.view("<u8"):
+        streams = []
+        for s_hi, s_lo, i_hi, i_lo in seq_words.tolist():
+            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+            state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT
+                     + inc) & _MASK128
+            streams.append((state, inc))
+        yield streams
 
 
-def sample_trajectory(plan: ExperimentPlan, seq_index: int, noise: NoiseModel,
-                      seed: int, process: ProcessSpec | None = None
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def sample_trajectory(plan: ExperimentPlan, noise: NoiseModel, seed: int,
+                      process: ProcessSpec | None = None
+                      ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Draw the frequency offsets, laser-phase walks and readout draws of
-    every shot of one sequence.
+    every shot of every sequence.
 
-    Shot ``s`` draws from its own stream, numpy's
-    ``PCG64(SeedSequence(seed, spawn_key=(seq_index, s)))``, derived for all
-    shots at once by ``_shot_streams`` and set on one reused generator:
-    first ``n_events + 1`` standard normals (the fast frequency offset, then
-    one phase-diffusion increment per event), then one uniform readout draw.
-    The slow drift contribution is evaluated at the sequence start time and is
-    therefore constant across all shots of a sequence; the fast Gaussian
-    offset is redrawn per shot.  Phase-diffusion increments scale with the
-    square root of the interval between consecutive events.
+    Shot ``s`` of sequence ``k`` draws from its own stream, numpy's
+    ``PCG64(SeedSequence(seed, spawn_key=(k, s)))``.  ``_shot_streams``
+    derives the streams of all shots at once; one loop sets them in turn,
+    sequence by sequence and shot by shot, on one reused generator and
+    draws first ``n_events + 1`` standard normals (the fast frequency
+    offset, then one phase-diffusion increment per event), then one uniform
+    readout draw.  The slow drift contribution is evaluated at the sequence
+    start time and is therefore constant across all shots of a sequence;
+    the fast Gaussian offset is redrawn per shot.  Phase-diffusion
+    increments scale with the square root of the interval between
+    consecutive events.
 
-    Returns ``(freq_offset_hz, phase_offsets, readout)`` of shapes
-    ``(shots,)``, ``(shots, n_events)`` and ``(shots,)``; ``phase_offsets``
-    is the accrued laser-phase deviation (rad) at each event.
+    Returns one ``(freq_offset_hz, phase_offsets, readout)`` per layout of
+    ``_shot_schedule(plan, process, noise)``, of shapes ``(n, shots)``,
+    ``(n, shots, n_events)`` and ``(n, shots)`` for its ``n`` sequences;
+    ``phase_offsets`` is the accrued laser-phase deviation (rad) at each
+    event.
     """
     process = process or ProcessSpec.identity()
-    sched = _shot_schedule(plan, seq_index, process, noise)
+    layouts = _shot_schedule(plan, process, noise)
     shots = plan.shots_per_sequence
-    z = np.empty((shots, len(sched.times_us) + 1))
-    readout = np.empty(shots)
+    # z[:, :, 0] is the frequency draw; z[:, :, 1:] becomes the phase walk.
+    z = [np.empty((len(lay.seqs), shots, lay.times_us.shape[1] + 1))
+         for lay in layouts]
+    readout = [np.empty((len(lay.seqs), shots)) for lay in layouts]
+    rows = {k: (z[i][r], readout[i][r]) for i, lay in enumerate(layouts)
+            for r, k in enumerate(lay.seqs.tolist())}
     bg = np.random.PCG64()  # its state is replaced before every shot
     rng = np.random.Generator(bg)
-    for s, (state, inc) in enumerate(_shot_streams(seed, seq_index, shots)):
-        bg.state = {"bit_generator": "PCG64",
-                    "state": {"state": state, "inc": inc},
-                    "has_uint32": 0, "uinteger": 0}
-        rng.standard_normal(out=z[s])
-        readout[s] = rng.random()
-    t_min = plan.start_time_s(seq_index) / 60.0
-    freq = (noise.drift_hz_per_min * t_min
-            + noise.fast_freq_gaussian_sigma_hz * z[:, 0])
-    dt = np.diff(np.concatenate(([0.0], sched.times_us)))
-    walk = np.cumsum(z[:, 1:] * noise.phase_diffusion_rad_per_sqrt_us
-                     * np.sqrt(dt), axis=1)
-    offsets = 2.0 * math.pi * freq[:, None] * sched.times_us * 1e-6 + walk
-    return freq, offsets, readout
+    # One state dict, refilled per shot: the setter copies the values out.
+    stream = {"state": 0, "inc": 0}
+    bg_state = {"bit_generator": "PCG64", "state": stream,
+                "has_uint32": 0, "uinteger": 0}
+    for k, streams in enumerate(_shot_streams(seed, shots)):
+        z_k, readout_k = rows[k]
+        for s, (state, inc) in enumerate(streams):
+            stream["state"], stream["inc"] = state, inc
+            bg.state = bg_state
+            rng.standard_normal(out=z_k[s])
+            readout_k[s] = rng.random()
+    out = []
+    for lay, z_l, readout_l in zip(layouts, z, readout):
+        t_min = plan.start_time_s(lay.seqs) / 60.0
+        freq = (noise.drift_hz_per_min * t_min[:, None]
+                + noise.fast_freq_gaussian_sigma_hz * z_l[:, :, 0])
+        dt = np.diff(lay.times_us, axis=1, prepend=0.0)
+        # In place, to hold no second copy of every shot's draws.
+        offsets = z_l[:, :, 1:]
+        offsets *= noise.phase_diffusion_rad_per_sqrt_us
+        offsets *= np.sqrt(dt)[:, None, :]
+        np.cumsum(offsets, axis=2, out=offsets)
+        offsets += (2.0 * math.pi * freq[:, :, None]
+                    * lay.times_us[:, None, :] * 1e-6)
+        out.append((freq, offsets, readout_l))
+    return out
 
 
-def _rotate(u: np.ndarray, v: np.ndarray, c: float, x: np.ndarray):
+def _rotate(u: np.ndarray, v: np.ndarray, c: float | np.ndarray,
+            x: np.ndarray):
     """Apply [[c, x], [-x*, c]] to the amplitude pairs (u, v) of one ion."""
     return c * u + x * v, c * v - x.conj() * u
 
 
-def _sequence_probabilities(sched: _ShotSchedule, offsets: np.ndarray
+def _sequence_probabilities(lay: _Layout, offsets: np.ndarray
                             ) -> tuple[np.ndarray, np.ndarray]:
-    """(p2, p0) per shot: both-bright and both-dark probabilities from |SS>.
+    """(p2, p0) per (sequence, shot) of one layout: both-bright and
+    both-dark probabilities from |SS>.
 
     ``pjk`` holds, per shot, the amplitude of ion 1 in j and ion 2 in k.  A
     pulse R(theta, phi1) x R(theta, phi2) is psi <- A psi B^T: A mixes the
@@ -403,26 +458,26 @@ def _sequence_probabilities(sched: _ShotSchedule, offsets: np.ndarray
     following the accrued phase d, mixes pjk with p(1-j)(1-k), with the
     phases e^-2id, 1, 1, e^2id.
     """
-    shots = offsets.shape[0]
-    s = -1j * np.sin(sched.thetas / 2)
-    x1 = s * np.exp(-1j * (sched.phi1 + offsets))
-    x2 = s * np.exp(-1j * (sched.phi2 + offsets))
-    p00 = np.ones(shots, dtype=complex)
-    p01 = p10 = p11 = np.zeros(shots, dtype=complex)
-    for i, kind in enumerate(sched.kinds):
-        theta = sched.thetas[i]
-        if kind == _KIND_PULSE:
-            c = math.cos(theta / 2)
-            p00, p10 = _rotate(p00, p10, c, x1[:, i])
-            p01, p11 = _rotate(p01, p11, c, x1[:, i])
-            p00, p01 = _rotate(p00, p01, c, x2[:, i])
-            p10, p11 = _rotate(p10, p11, c, x2[:, i])
-        else:
+    n, shots, n_events = offsets.shape
+    p00 = np.ones((n, shots), dtype=complex)
+    p01 = p10 = p11 = np.zeros((n, shots), dtype=complex)
+    for i in range(n_events):
+        d = offsets[:, :, i]
+        if i == lay.gate:
+            theta = lay.thetas[0, i]
             c, ms = math.cos(theta), -1j * math.sin(theta)
-            phase = np.exp(-2j * offsets[:, i])
+            phase = np.exp(-2j * d)
             p00, p11 = (c * p00 + ms * phase * p11,
                         c * p11 + ms * phase.conj() * p00)
             p01, p10 = c * p01 + ms * p10, c * p10 + ms * p01
+        else:
+            c, s = lay.cos[:, i, None], lay.sin[:, i, None]
+            x1 = s * np.exp(-1j * (lay.phi1[:, i, None] + d))
+            x2 = s * np.exp(-1j * (lay.phi2[:, i, None] + d))
+            p00, p10 = _rotate(p00, p10, c, x1)
+            p01, p11 = _rotate(p01, p11, c, x1)
+            p00, p01 = _rotate(p00, p01, c, x2)
+            p10, p11 = _rotate(p10, p11, c, x2)
     return np.abs(p00) ** 2, np.abs(p11) ** 2
 
 
@@ -535,7 +590,8 @@ def generate_dataset(plan: ExperimentPlan, process: ProcessSpec,
                      noise: NoiseModel, seed: int) -> ShotDataset:
     """Run all sequences and shots of the plan; deterministic for fixed seed.
 
-    Each sequence is one vectorized pass over its shots.  A shot reads 2
+    Each event layout is one vectorized pass over its sequences and their
+    shots.  A shot reads 2
     bright ions when its readout draw u < p2, 1 when u < p2 + p1 with
     p1 = max(0, 1 - p2 - p0), and 0 otherwise.
     """
@@ -546,18 +602,17 @@ def generate_dataset(plan: ExperimentPlan, process: ProcessSpec,
             f"plan's process window ({plan.timing.process_duration_us} us) "
             f"is not the {process.label} process's ({process.duration_us} us); "
             "build the plan with plan_for_process")
-    shots = plan.shots_per_sequence
     n2 = np.zeros(plan.n_sequences)
     n1 = np.zeros(plan.n_sequences)
-    for k in range(plan.n_sequences):
-        _, offsets, u = sample_trajectory(plan, k, noise, seed, process)
-        p2, p0 = _sequence_probabilities(
-            _shot_schedule(plan, k, process, noise), offsets)
+    trajectories = sample_trajectory(plan, noise, seed, process)
+    for lay, (_, offsets, u) in zip(_shot_schedule(plan, process, noise),
+                                    trajectories):
+        p2, p0 = _sequence_probabilities(lay, offsets)
         p1 = np.maximum(0.0, 1.0 - p2 - p0)
-        n2[k] = np.count_nonzero(u < p2)
-        n1[k] = np.count_nonzero((u >= p2) & (u < p2 + p1))
+        n2[lay.seqs] = np.count_nonzero(u < p2, axis=1)
+        n1[lay.seqs] = np.count_nonzero((u >= p2) & (u < p2 + p1), axis=1)
     return ShotDataset(plan=plan, noise=noise, process=process, seed=seed,
-                       n2=n2, n1=n1, n0=shots - n2 - n1)
+                       n2=n2, n1=n1, n0=plan.shots_per_sequence - n2 - n1)
 
 
 def dataset_from_probabilities(plan: ExperimentPlan, probabilities: np.ndarray,

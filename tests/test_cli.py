@@ -301,6 +301,22 @@ def test_report_unconverged_bootstrap_warns(small_dataset, tmp_path, capsys,
     assert "2 of 2 bootstrap replicas" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("replicas", ["1", "0", "-3"])
+def test_report_too_few_replicas_exit_2_before_any_work(small_dataset,
+                                                        tmp_path, capsys,
+                                                        replicas):
+    chi_path = str(tmp_path / "chi.json")
+    save_chi(chi_path, unitary_to_chi(matrix_exponential(_XX, math.pi / 4)))
+    prefix = str(tmp_path / "rep")
+    assert run("report", chi_path, "--ideal", "ms", "--dataset",
+               small_dataset, "--replicas", replicas, "-o", prefix) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "--replicas" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "rep_re.csv").exists()
+
+
 def test_report_missing_chi_exit_2(tmp_path):
     assert run("report", str(tmp_path / "nope.json"),
                "-o", str(tmp_path / "rep")) == 2

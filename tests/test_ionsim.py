@@ -17,7 +17,6 @@ from ionqpt.ionsim import (
     simulate_ramsey,
 )
 from ionqpt.ionsim import (
-    _KIND_PULSE,
     _block_pulse_params,
     _sequence_probabilities,
     _shot_schedule,
@@ -142,9 +141,13 @@ def test_shot_schedule_is_time_ordered(pulse_pi_us):
                  ProcessSpec.ms()):
         plan = build_plan(proc.duration_us, shots=2,
                           timing=TimingModel(pulse_pi_us=pulse_pi_us))
-        for k in range(256):
-            times = _shot_schedule(plan, k, proc, NoiseModel.none()).times_us
-            assert np.all(np.diff(times) >= 0), (proc.label, k)
+        layouts = _shot_schedule(plan, proc, NoiseModel.none())
+        assert len(layouts) == 16
+        np.testing.assert_array_equal(
+            np.sort(np.concatenate([lay.seqs for lay in layouts])),
+            np.arange(256))
+        for lay in layouts:
+            assert np.all(np.diff(lay.times_us, axis=1) >= 0), proc.label
 
 
 def test_shot_schedule_follows_the_timing():
@@ -152,21 +155,34 @@ def test_shot_schedule_follows_the_timing():
     slow, fast = (build_plan(proc.duration_us, shots=2,
                              timing=TimingModel(pulse_pi_us=t))
                   for t in (8.0, 16.0))
-    a = _shot_schedule(slow, 255, proc, NoiseModel.none())
-    assert _shot_schedule(slow, 255, proc, NoiseModel.none()) is a
-    b = _shot_schedule(fast, 255, proc, NoiseModel.none())
-    assert not np.array_equal(a.times_us, b.times_us)
+    a = _shot_schedule(slow, proc, NoiseModel.none())
+    assert _shot_schedule(slow, proc, NoiseModel.none()) is a
+    b = _shot_schedule(fast, proc, NoiseModel.none())
+    times = [np.concatenate([lay.times_us.ravel() for lay in sched])
+             for sched in (a, b)]
+    assert not np.array_equal(*times)
+
+
+def _sequence_trajectory(plan, k, noise, seed, process=None):
+    """(freq, offsets, readout) of sequence k, picked out of the layouts
+    that sample_trajectory returns."""
+    process = process or ProcessSpec.identity()
+    for lay, draws in zip(_shot_schedule(plan, process, noise),
+                          sample_trajectory(plan, noise, seed, process)):
+        if k in lay.seqs:
+            r = int(np.flatnonzero(lay.seqs == k)[0])
+            return tuple(a[r] for a in draws)
 
 
 def test_sample_trajectory_drift_constant_within_sequence():
     plan = build_plan(shots=10)
     noise = NoiseModel.drift_only()
-    freq100, _, _ = sample_trajectory(plan, 100, noise, seed=0)
+    freq100, _, _ = _sequence_trajectory(plan, 100, noise, seed=0)
     freqs = set(freq100[:5])
     assert len(freqs) == 1
     # later sequences have drifted further
     t100 = freq100[0]
-    t200 = sample_trajectory(plan, 200, noise, seed=0)[0][0]
+    t200 = _sequence_trajectory(plan, 200, noise, seed=0)[0][0]
     assert t200 > t100 > 0.0
 
 
@@ -174,7 +190,7 @@ def test_sample_trajectory_jitter_varies_per_shot():
     plan = build_plan(shots=10)
     noise = NoiseModel(drift_hz_per_min=0.0, fast_freq_sigma_hz=300.0,
                        phase_diffusion_rad_per_sqrt_us=0.0)
-    freq, offsets, readout = sample_trajectory(plan, 3, noise, seed=0)
+    freq, offsets, readout = _sequence_trajectory(plan, 3, noise, seed=0)
     freqs = set(freq[:5])
     assert len(freqs) == 5
     # shot 4 reads its own stream: the normals, then the readout draw
@@ -192,26 +208,27 @@ def test_shot_streams_match_numpy_seedsequence(n_words):
     seeds = [sum(w << 32 * i for i, w in enumerate(words))]
     if n_words == 1:
         seeds += [0, 2**32 - 1]
-    shots = 17
+    # every (k, s) of a 3-shot dataset
+    shots = 3
     for seed in seeds:
-        for k in rng.integers(0, 256, size=3).tolist():
-            streams = _shot_streams(seed, k, shots)
-            assert len(streams) == shots
-            for s in (0, shots - 1):
+        streams = list(_shot_streams(seed, shots))
+        assert len(streams) == 256
+        for k, seq_streams in enumerate(streams):
+            assert len(seq_streams) == shots
+            for s, stream in enumerate(seq_streams):
                 ref = np.random.PCG64(np.random.SeedSequence(
                     seed, spawn_key=(k, s))).state["state"]
-                assert streams[s] == (ref["state"], ref["inc"])
+                assert stream == (ref["state"], ref["inc"]), (seed, k, s)
 
 
-def _reference_shot_unitary(sched, offsets):
-    """The per-shot kron product of 4x4 event unitaries, kept as the
-    reference for the batched simulator."""
+def _reference_shot_unitary(lay, r, offsets):
+    """The per-shot kron product of 4x4 event unitaries of row r of a
+    layout, kept as the reference for the batched simulator."""
     u = np.eye(4, dtype=complex)
-    for i, kind in enumerate(sched.kinds):
-        th = sched.thetas[i]
-        if kind == _KIND_PULSE:
-            g = np.kron(rotation_unitary(th, sched.phi1[i] + offsets[i]),
-                        rotation_unitary(th, sched.phi2[i] + offsets[i]))
+    for i, th in enumerate(lay.thetas[r]):
+        if i != lay.gate:
+            g = np.kron(rotation_unitary(th, lay.phi1[r, i] + offsets[i]),
+                        rotation_unitary(th, lay.phi2[r, i] + offsets[i]))
         else:
             delta = offsets[i]
             ax = np.array([[0.0, np.exp(-1j * delta)],
@@ -227,14 +244,19 @@ def _reference_shot_unitary(sched, offsets):
 def test_batched_probabilities_match_kron_reference(proc):
     plan = plan_for_process(proc, shots=4)
     noise = NoiseModel.paper_study()
-    for k in range(plan.n_sequences):
-        sched = _shot_schedule(plan, k, proc, noise)
-        _, offsets, _ = sample_trajectory(plan, k, noise, 11, proc)
-        p2, p0 = _sequence_probabilities(sched, offsets)
-        u = np.array([_reference_shot_unitary(sched, off) for off in offsets])
-        np.testing.assert_allclose(p2, np.abs(u[:, 0, 0]) ** 2,
+    layouts = _shot_schedule(plan, proc, noise)
+    # all 16 layouts; without a gate, the all-ID layout has no events
+    assert len(layouts) == 16
+    assert min(lay.times_us.shape[1] for lay in layouts) == (
+        1 if proc.is_entangling else 0)
+    for lay, (_, offsets, _) in zip(layouts,
+                                    sample_trajectory(plan, noise, 11, proc)):
+        p2, p0 = _sequence_probabilities(lay, offsets)
+        u = np.array([[_reference_shot_unitary(lay, r, off) for off in row]
+                      for r, row in enumerate(offsets)])
+        np.testing.assert_allclose(p2, np.abs(u[..., 0, 0]) ** 2,
                                    rtol=0, atol=1e-12)
-        np.testing.assert_allclose(p0, np.abs(u[:, 3, 0]) ** 2,
+        np.testing.assert_allclose(p0, np.abs(u[..., 3, 0]) ** 2,
                                    rtol=0, atol=1e-12)
 
 
@@ -383,9 +405,14 @@ def test_simulate_ramsey_rejects_nonpositive_delay():
             simulate_ramsey([20.0], NoiseModel.none(), shots=shots)
 
 
-# SHA-256 of the float64 bytes of (n2, n1, n0), frozen from the per-shot
-# simulator that the batched one replaced: the datasets must not change.
+# SHA-256 of the float64 bytes of (n2, n1, n0): the datasets must not change.
+# The rows at 30 and more shots were frozen from the per-shot simulator, the
+# rows at 1 and 7 shots from the per-sequence one.
 GOLDEN_DATASETS = [
+    ("ms", "paper", 1, 11,
+     "bbbb015861a96f6f5a20a705ab2bddbdf828388ee0f41da6ac1c32dd8e52f6c2"),
+    ("ms_plus", "paper", 7, 11,
+     "5e989dd1a70d81486fe2842bd89b6ae2252ddd4e8b13c45afb2440306621fb96"),
     ("identity", "paper", 30, 11,
      "a5bac674416ba4fd9224254d1c8aef2613b725ddc9dc22c78fc48f8fc8c01b26"),
     ("delay", "paper", 30, 11,

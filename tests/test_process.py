@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ionqpt.process import (
     ProcessMatrix,
@@ -37,15 +40,24 @@ def random_unitary(seed):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def kraus_of_isometry(a):
+    """The 4x4 blocks of the (4 rank)x4 isometry Q of a = QR: Kraus
+    operators of a channel, since sum_k K_k^dag K_k = Q^dag Q = I."""
+    return np.linalg.qr(a)[0].reshape(-1, 4, 4)
+
+
+def kraus_to_chi(kraus):
+    c = np.einsum("kab,mba->km", kraus, _P) / 4.0  # K_k = sum_m c_km P_m
+    return ProcessMatrix(np.einsum("km,kn->mn", c.conj(), c))
+
+
 def random_cptp_chi(seed, rank=4):
     """chi of a channel whose Kraus operators are the 4x4 blocks of a random
     (4 rank)x4 isometry."""
     rng = np.random.default_rng(seed)
     a = (rng.standard_normal((4 * rank, 4))
          + 1j * rng.standard_normal((4 * rank, 4)))
-    kraus = np.linalg.qr(a)[0].reshape(rank, 4, 4)
-    c = np.einsum("kab,mba->km", kraus, _P) / 4.0  # K_k = sum_m c_km P_m
-    return ProcessMatrix(np.einsum("km,kn->mn", c.conj(), c))
+    return kraus_to_chi(kraus_of_isometry(a))
 
 
 def random_density_matrix(seed):
@@ -191,6 +203,58 @@ def test_chi_choi_round_trip_and_trace():
     assert choi.trace().real == pytest.approx(4.0, abs=1e-10)
     assert np.linalg.eigvalsh(choi)[0] > -1e-10
     np.testing.assert_allclose(choi_to_chi(choi), chi.chi, atol=1e-12)
+
+
+# Property tests: derandomized, so every run draws the same examples, and
+# bounded, so that they add well under a second to the suite.
+_PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
+                     database=None)
+_UNIT = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+
+
+def complex_arrays(*shape):
+    parts = arrays(float, shape, elements=_UNIT)
+    return st.tuples(parts, parts).map(lambda p: p[0] + 1j * p[1])
+
+
+@st.composite
+def kraus_channels(draw):
+    rank = draw(st.integers(1, 4))
+    return kraus_of_isometry(draw(complex_arrays(4 * rank, 4)))
+
+
+@_PROPERTY
+@given(complex_arrays(16, 16))
+def test_chi_choi_round_trip_on_any_matrix(m):
+    np.testing.assert_allclose(choi_to_chi(chi_to_choi(m)), m,
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(chi_to_choi(choi_to_chi(m)), m,
+                               rtol=0, atol=1e-12)
+
+
+@_PROPERTY
+@given(kraus_channels())
+def test_choi_of_a_kraus_channel_is_sum_of_vectorized_kraus(kraus):
+    # J[(i, a), (j, b)] = sum_k K_k[a, i] conj(K_k[b, j])
+    v = kraus.transpose(0, 2, 1).reshape(-1, 16)
+    choi = v.T @ v.conj()
+    chi = kraus_to_chi(kraus).chi
+    np.testing.assert_allclose(chi_to_choi(chi), choi, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(choi_to_chi(choi), chi, rtol=0, atol=1e-12)
+
+
+@_PROPERTY
+@given(kraus_channels(), complex_arrays(4, 4), complex_arrays(4, 4))
+def test_extract_error_process_undoes_the_ideal_gate(kraus, u_raw, a):
+    # E_meas = U o E_tilde, so E_tilde(rho) = U^dag E_meas(rho) U.
+    u = np.linalg.qr(u_raw)[0]
+    rho = a @ a.conj().T
+    assume(rho.trace().real > 1e-3)
+    rho = rho / rho.trace()
+    e_rho = sum(k @ rho @ k.conj().T for k in kraus)
+    np.testing.assert_allclose(
+        apply_process(extract_error_process(kraus_to_chi(kraus), u), rho),
+        u.conj().T @ e_rho @ u, rtol=0, atol=1e-12)
 
 
 def test_project_to_physical():

@@ -7,10 +7,13 @@ workload seed per pair, and the one that goes first alternates too. For every
 workload and end-to-end metric the record holds each commit's median and
 quartiles over the pairs, the change/parent ratio of the medians and the
 number of pairs the change won. It also holds the failed share of commands,
-the machine, both git SHAs, the thread variables of the benchmark's rounds
-and the wall time of the Tier-1 suite on each commit, with the duration of
-each test in ``tests/test_acceptance.py`` (its setup, call and teardown, as
-pytest's JUnit XML reports it), so a record shows which criterion moved.
+the machine, both git SHAs and the thread variables of the benchmark's
+rounds. The Tier-1 suite runs four times, in the order parent, change,
+change, parent, so that a drift of the machine's speed during the record
+weighs on both commits alike; the record holds both runs of each commit,
+each with its wall time and the duration of each test in
+``tests/test_acceptance.py`` (its setup, call and teardown, as pytest's
+JUnit XML reports it), so a record shows which criterion moved.
 
     python3 tools/bench_record.py --parent HEAD~1 --change HEAD --seed 501 \\
         -o BENCH_<n>.json
@@ -33,6 +36,7 @@ TIER1 = [sys.executable, "-m", "pytest", "-q",
          "--continue-on-collection-errors"]
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 PAIRS = 10
+TIER1_ORDER = ("parent", "change", "change", "parent")
 
 
 def export(rev: str, root: str) -> tuple[str, str]:
@@ -168,9 +172,11 @@ def main() -> int:
             "tier1": {"command": "PYTHONPATH=src " + " ".join(
                 ["python"] + TIER1[1:] + ["--junitxml", "tier1-junit.xml"])},
         }
-        for name in ("parent", "change"):
-            record["tier1"][name] = run_tier1(commits[name][1])
-            print(f"tier1 {name}: {record['tier1'][name]}", flush=True)
+        record["tier1"].update(parent=[], change=[])
+        for name in TIER1_ORDER:
+            run = run_tier1(commits[name][1])
+            record["tier1"][name].append(run)
+            print(f"tier1 {name}: {run}", flush=True)
     with open(args.output, "w") as fh:
         json.dump(record, fh, indent=2)
         fh.write("\n")
