@@ -46,6 +46,7 @@ __all__ = [
 _XX = two_qubit_pauli_basis()[5]
 _KET_SS = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
 _MAX_DIM = 4096  # largest Fock truncation of the motional mode
+_FIRST_ROUND_NFEV, _MAX_NFEV = 20, 80  # heating fit: first round, leader's total
 
 
 class FitError(RuntimeError):
@@ -260,7 +261,7 @@ def _populations(n_th: float, n_coh: float, tail_tol: float
             raise TruncationError(
                 f"truncation tail {tail:.2e} at {dim} Fock states exceeds "
                 f"{tail_tol:.0e}")
-        dim = min(2 * dim, _MAX_DIM)
+        dim = min(dim + max(64, 2 ** (dim.bit_length() - 3)), _MAX_DIM)  # next grid size
     q_y = [0.0]
     for q_k in q[:dim - 1]:
         q_y.append(r * q_y[-1] + q_k)
@@ -316,17 +317,19 @@ def sideband_rabi_signal(occ: MotionalOccupation, times_us,
     return 2.0 * (np.square(np.sin(flop, out=flop), out=flop) @ pops)
 
 
-def _sideband_jacobian(params: np.ndarray, times_s: np.ndarray, eta: float,
-                       tail_tol: float) -> np.ndarray:
-    """d sideband_rabi_signal / d(Omega, n_th, n_coh), one row per time."""
-    omega, n_th, n_coh = params
-    pops, d_th, d_coh = _populations(n_th, n_coh, tail_tol)
-    # d/dOmega 2 sin^2(x/2) = sin(x) rate t; x = Omega rate t, rate = eta sqrt(n+1)
+def _sideband_model(params: np.ndarray, times_s: np.ndarray, eta: float,
+                    tail_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """sideband_rabi_signal at (Omega, n_th, n_coh) and its Jacobian rows."""
+    pops, d_th, d_coh = _populations(params[1], params[2], tail_tol)
+    # 2 sin^2(x/2) with x = Omega rate t, rate = eta sqrt(n + 1); d/dOmega is
+    # 2 sin(x/2) cos(x/2) rate t.  At most two times x dim tables are alive.
     rate = eta * np.sqrt(np.arange(len(pops)) + 1.0)
-    half = np.outer(times_s, 0.5 * omega * rate)
-    d_omega = times_s * (np.sin(2.0 * half) @ (rate * pops))
-    flop = np.square(np.sin(half, out=half), out=half)
-    return np.column_stack([d_omega, 2.0 * (flop @ np.stack([d_th, d_coh], 1))])
+    half = np.outer(times_s, 0.5 * params[0] * rate)
+    sin = np.sin(half)
+    sin_cos = np.multiply(sin, np.cos(half, out=half), out=half)
+    d_omega = times_s * (sin_cos @ (2.0 * rate * pops))
+    flop = 2.0 * (np.square(sin, out=sin) @ np.stack([pops, d_th, d_coh], 1))
+    return flop[:, 0], np.column_stack([d_omega, flop[:, 1:]])
 
 
 def _lombscargle(t: np.ndarray, y: np.ndarray,
@@ -350,9 +353,11 @@ def fit_heating(times_us, signals,
                 eta: float = 0.039) -> tuple[MotionalOccupation, np.ndarray]:
     """Fit (Omega, n_th, n_coh) to a sideband Rabi curve.
 
-    Multi-start bounded least squares, analytic Jacobian; the best start by
-    residual wins, ties broken by lowest start index.  Returns the occupation
-    and the 3x3 parameter covariance estimated from the Jacobian at the optimum.
+    Multi-start bounded least squares; one model evaluation per trial point
+    gives the residuals and the analytic Jacobian.  Each start gets 20
+    evaluations; the lowest cost (ties: lowest start index) goes on for 60 more
+    if unconverged, and failing that the best start converged at 20 wins.
+    Returns the occupation and the 3x3 parameter covariance at the optimum.
     """
     if not (math.isfinite(eta) and eta > 0):
         raise ValidationError(f"eta must be finite and > 0, got {eta}")
@@ -379,42 +384,57 @@ def fit_heating(times_us, signals,
     f_dom = float(freqs[int(np.argmax(pgram))])
 
     start_ns = [(0.3, 0.1), (2.0, 0.5), (6.0, 0.5), (3.0, 8.0), (25.0, 15.0)]
+    omega_hi = 4.0 * math.pi * f_dom / eta  # n_mode = 0 rate, 2x margin
+    last = [None, None]  # the latest residuals point and its Jacobian
 
     def residuals(params: np.ndarray) -> np.ndarray:
-        occ = MotionalOccupation(n_th=params[1], n_coh=params[2],
-                                 rabi_omega=params[0], eta=eta)
         # A loosened truncation tail (1e-4) biases the model curve far less
         # than the data noise while keeping the Fock space small during search.
-        return sideband_rabi_signal(occ, times_us, tail_tol=1e-4) - signals
+        signal, last[1] = _sideband_model(params, t_s, eta, 1e-4)
+        last[0] = params.copy()
+        return signal - signals
 
-    omega_hi = 4.0 * math.pi * f_dom / eta  # n_mode = 0 rate, 2x margin
-    best = None
-    for idx, (n_th0, n_coh0) in enumerate(start_ns):
-        pops0 = displaced_thermal_populations(n_th0, n_coh0, tail_tol=1e-3)
-        n_mode = int(np.argmax(pops0))
-        omega0 = 2.0 * math.pi * f_dom / (eta * math.sqrt(n_mode + 1.0))
+    def jac(params: np.ndarray) -> np.ndarray:
+        if not np.array_equal(params, last[0]):
+            residuals(params)
+        return last[1]
+
+    def solve(x0: np.ndarray, x_scale: list, max_nfev=_FIRST_ROUND_NFEV):
         try:
-            sol = scipy.optimize.least_squares(
-                residuals, x0=np.array([omega0, n_th0, n_coh0]),
-                jac=lambda params: _sideband_jacobian(params, t_s, eta, 1e-4),
+            return scipy.optimize.least_squares(
+                residuals, x0=x0, jac=jac,
                 bounds=([0.0, 0.0, 0.0], [omega_hi, 50.0, 50.0]),
-                x_scale=[0.05 * omega0, 1.0, 1.0], xtol=1e-8, ftol=1e-8,
-                max_nfev=80)
+                x_scale=x_scale, xtol=1e-8, ftol=1e-8, max_nfev=max_nfev)
         except (ValueError, np.linalg.LinAlgError):
-            continue
-        cost = float(sol.cost)
-        if sol.success and (best is None or cost < best[0] - 1e-15):
-            best = (cost, idx, sol)
-    if best is None:
+            return None
+
+    def lowest(converged: bool) -> int | None:  # ties go to the lower index
+        best = None
+        for i, sol in enumerate(firsts):
+            if (sol is not None and (sol.success or not converged) and (
+                    best is None or sol.cost < firsts[best].cost - 1e-15)):
+                best = i
+        return best
+
+    firsts, scales = [], []
+    for n_th0, n_coh0 in start_ns:
+        n_mode = int(np.argmax(displaced_thermal_populations(n_th0, n_coh0, 1e-3)))
+        omega0 = 2.0 * math.pi * f_dom / (eta * math.sqrt(n_mode + 1.0))
+        scales.append([0.05 * omega0, 1.0, 1.0])
+        firsts.append(solve(np.array([omega0, n_th0, n_coh0]), scales[-1]))
+    # A continuation that converges stays the lowest cost: it only descends.
+    lead = lowest(converged=False)
+    if lead is not None and not firsts[lead].success:
+        firsts[lead] = solve(firsts[lead].x, scales[lead],
+                             _MAX_NFEV - _FIRST_ROUND_NFEV)
+    lead = lowest(converged=True)
+    if lead is None:
         raise FitError("sideband fit failed from every start")
-    sol = best[2]
+    sol = firsts[lead]
     occ = MotionalOccupation(n_th=float(sol.x[1]), n_coh=float(sol.x[2]),
                              rabi_omega=float(sol.x[0]), eta=eta)
-    dof = max(1, len(times_us) - 3)
-    res_var = 2.0 * sol.cost / dof
-    jtj = sol.jac.T @ sol.jac
-    cov = res_var * np.linalg.pinv(jtj)
-    return occ, cov
+    res_var = 2.0 * sol.cost / max(1, len(times_us) - 3)
+    return occ, res_var * np.linalg.pinv(sol.jac.T @ sol.jac)
 
 
 def thermal_gate_error(eta: float, n_th: float) -> float:

@@ -225,6 +225,28 @@ def test_closed_form_holds_at_large_displacement(n_th, n_coh):
     np.testing.assert_allclose(pops[ns], ref, rtol=1e-9, atol=1e-13)
 
 
+def test_truncation_grows_by_the_rounding_step():
+    # A first size that misses the tolerance grows to the next size on
+    # _auto_dim's grid, not to twice the size, and never below the first.
+    grown = 0
+    for n_th in range(0, 51, 2):
+        for n_coh in range(0, 51, 2):
+            ref = displaced_thermal_populations(n_th, n_coh, tail_tol=1e-9)
+            for tol in (1e-3, 1e-4, 1e-6):
+                first = analysis._auto_dim(n_th, n_coh, tol)
+                pops = displaced_thermal_populations(n_th, n_coh, tail_tol=tol)
+                # The tail at size d is 1 - sum(p[:d - 2]); the sizes used to
+                # double from the first one until it met the tolerance.
+                doubled = first
+                while 1.0 - ref[:doubled - 2].sum() > tol:
+                    doubled *= 2
+                assert 1.0 - pops[:-2].sum() <= tol
+                assert first <= len(pops) <= doubled
+                assert len(pops) == first or len(pops) < doubled
+                grown += len(pops) > first
+    assert grown == 91
+
+
 def test_mean_beyond_largest_truncation_raises():
     for n_th, n_coh in [(0.0, 5000.0), (0.0, 1e300), (1e300, 0.0)]:
         with pytest.raises(TruncationError):
@@ -294,9 +316,9 @@ def test_fit_heating_rejects_non_finite_input():
 def test_fit_heating_lets_model_errors_through(monkeypatch):
     # A fault in the model or its Jacobian is a bug, not a failed start.
     def broken(*args):
-        raise ZeroDivisionError("broken Jacobian")
+        raise ZeroDivisionError("broken model")
 
-    monkeypatch.setattr(analysis, "_sideband_jacobian", broken)
+    monkeypatch.setattr(analysis, "_sideband_model", broken)
     t = np.linspace(2.0, 600.0, 60)
     occ = MotionalOccupation(n_th=3.5, n_coh=0.1,
                              rabi_omega=2 * math.pi * 250e3, eta=0.039)
@@ -317,7 +339,8 @@ def test_sideband_jacobian_matches_central_differences(n_th, n_coh,
                                  eta=0.039)
         return sideband_rabi_signal(occ, t_us, tail_tol=1e-4)
 
-    jac = analysis._sideband_jacobian(params, t_us * 1e-6, 0.039, 1e-4)
+    model, jac = analysis._sideband_model(params, t_us * 1e-6, 0.039, 1e-4)
+    np.testing.assert_allclose(model, signal(params), rtol=0, atol=1e-14)
     # Steps near cbrt(machine epsilon) in each parameter's own scale.
     for k, h in enumerate(1e-5 * np.maximum(params, 1.0)):
         step = np.zeros(3)
@@ -325,6 +348,78 @@ def test_sideband_jacobian_matches_central_differences(n_th, n_coh,
         fd = (signal(params + step) - signal(params - step)) / (2 * h)
         err = np.linalg.norm(jac[:, k] - fd) / np.linalg.norm(fd)
         assert err < 1e-6, (k, err)
+
+
+def _record_least_squares(monkeypatch, unconverged=lambda call: False):
+    # Wrap least_squares; a call that ``unconverged`` selects reports its
+    # result as out of budget.
+    import scipy.optimize
+
+    real, calls = scipy.optimize.least_squares, []
+
+    def wrapped(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        calls.append((kwargs["max_nfev"], sol))
+        if unconverged(len(calls) - 1):
+            sol.success, sol.status = False, 0
+        return sol
+
+    monkeypatch.setattr(scipy.optimize, "least_squares", wrapped)
+    return calls
+
+
+def test_fit_heating_continues_an_unconverged_leader(monkeypatch):
+    # On this scan no start converges within the first round; start 3 has
+    # the lowest cost and converges 6 evaluations into its continuation.
+    calls = _record_least_squares(monkeypatch)
+    omega = 2 * math.pi * 250e3
+    t = np.linspace(2.0, 600.0, 300)
+    occ = MotionalOccupation(n_th=25.0, n_coh=2.0, rabi_omega=omega, eta=0.039)
+    rng = np.random.default_rng(2)
+    y = sideband_rabi_signal(occ, t) + 0.02 * rng.standard_normal(len(t))
+    fit, _ = fit_heating(t, y, eta=0.039)
+    firsts = [sol for _, sol in calls[:5]]
+    assert [n for n, _ in calls] == [20] * 5 + [60]
+    assert not any(sol.success for sol in firsts)
+    assert min(sol.cost for sol in firsts) == firsts[3].cost
+    assert calls[5][1].success
+    assert fit.n_th == calls[5][1].x[1] and fit.n_coh == calls[5][1].x[2]
+    assert abs(fit.n_th - 25.0) / 25.0 < 0.1
+    assert abs(fit.n_coh - 2.0) / 2.0 < 0.1
+    assert abs(fit.rabi_omega - omega) / omega < 0.01
+
+
+def test_fit_heating_falls_back_to_a_converged_start(monkeypatch):
+    # Start 2 leads (lowest cost) but is reported out of budget in the first
+    # round and again in its continuation: the lowest-cost start that did
+    # converge in the first round, start 0, wins.  It stops a little short of
+    # start 2's optimum, with n_coh 0.112 against 0.104.
+    calls = _record_least_squares(monkeypatch, lambda call: call in (2, 5))
+    omega = 2 * math.pi * 250e3
+    t = np.linspace(2.0, 600.0, 1200)
+    occ = MotionalOccupation(n_th=3.5, n_coh=0.1, rabi_omega=omega, eta=0.039)
+    rng = np.random.default_rng(273)
+    y = sideband_rabi_signal(occ, t) + 0.02 * rng.standard_normal(len(t))
+    fit, _ = fit_heating(t, y, eta=0.039)
+    firsts = [sol for _, sol in calls[:5]]
+    assert [n for n, _ in calls] == [20] * 5 + [60]
+    assert min(sol.cost for sol in firsts) == firsts[2].cost
+    converged = [i for i, sol in enumerate(firsts) if sol.success]
+    assert min(converged, key=lambda i: firsts[i].cost) == 0
+    assert fit.n_th == firsts[0].x[1] and fit.n_coh == firsts[0].x[2]
+    assert abs(fit.n_th - 3.5) / 3.5 < 0.1
+    assert abs(fit.n_coh - 0.1) / 0.1 < 0.2
+    assert abs(fit.rabi_omega - omega) / omega < 0.01
+
+
+def test_fit_heating_fails_when_no_start_converges(monkeypatch):
+    calls = _record_least_squares(monkeypatch, lambda call: True)
+    t = np.linspace(2.0, 600.0, 60)
+    occ = MotionalOccupation(n_th=3.5, n_coh=0.1,
+                             rabi_omega=2 * math.pi * 250e3, eta=0.039)
+    with pytest.raises(FitError, match="every start"):
+        fit_heating(t, sideband_rabi_signal(occ, t))
+    assert [n for n, _ in calls] == [20] * 5 + [60]
 
 
 def test_periodogram_matches_scipy_lombscargle():

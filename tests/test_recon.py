@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ionqpt.ionsim import (
     NoiseModel,
@@ -107,6 +110,26 @@ def test_mle_iteration_budget(ms_sampled_dataset):
     assert result.stop_reason == "budget"
     assert result.gap > MleConfig().gap_tolerance
     assert result.iterations == 5
+
+
+@st.composite
+def count_vectors(draw):
+    shots = draw(st.integers(1, 40))
+    return shots, draw(arrays(float, 256, elements=st.integers(0, shots)))
+
+
+# Derandomized, so every run draws the same examples, and bounded, so that
+# the test adds about a second to the suite.
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(count_vectors(), st.sampled_from([1, 7, 40]))
+def test_mle_output_is_cptp_on_random_counts(counts, budget):
+    shots, n2 = counts
+    proc = ProcessSpec.ms()
+    ds = ShotDataset(plan=plan_for_process(proc, shots=shots),
+                     noise=NoiseModel.none(), process=proc, seed=None, n2=n2)
+    chi, _ = mle_reconstruct(ds, MleConfig(max_iterations=budget))
+    diag = validate_cptp(chi)
+    assert diag.is_physical(), diag
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
