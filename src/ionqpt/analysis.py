@@ -47,6 +47,8 @@ _XX = two_qubit_pauli_basis()[5]
 _KET_SS = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
 _MAX_DIM = 4096  # largest Fock truncation of the motional mode
 _FIRST_ROUND_NFEV, _MAX_NFEV = 20, 80  # heating fit: first round, leader's total
+_MAX_OCCUPATION = 50.0  # heating fit: upper bound of n_th and n_coh
+_PERIODOGRAM_BLOCK = 64  # frequencies per pass of the heating fit's periodogram
 
 
 class FitError(RuntimeError):
@@ -336,17 +338,23 @@ def _lombscargle(t: np.ndarray, y: np.ndarray,
                  angular_freqs: np.ndarray) -> np.ndarray:
     # The default path of scipy.signal.lombscargle (SciPy 1.17: unit weights,
     # floating_mean=False, normalize="power"), operation for operation, so
-    # its argmax is the same without importing scipy.signal.
+    # its argmax is the same without importing scipy.signal.  Blocks of
+    # _PERIODOGRAM_BLOCK frequencies keep each table at times x 64 floats.
     w = np.full((1, len(t)), 1.0 / len(t))
-    wt = angular_freqs.reshape(1, -1) * t.reshape(-1, 1)
-    cos, sin = np.cos(wt), np.sin(wt)
-    cc, cs = np.dot(w, cos * cos), np.dot(w, cos * sin)
-    wt -= 0.5 * np.arctan2(2.0 * cs, cc - (1.0 - cc))  # tau
-    cos, sin = np.cos(wt), np.sin(wt)
-    yc, ys = np.dot(w * y, cos), np.dot(w * y, sin)
-    cc = np.dot(w, cos * cos)
-    cc, ss = (np.maximum(v, np.finfo(float).epsneg) for v in (cc, 1.0 - cc))
-    return np.squeeze(2.0 * (yc / cc * yc + ys / ss * ys)) * (len(t) / 4.0)
+    wy = w * y
+    out = np.empty(len(angular_freqs))
+    for i in range(0, len(angular_freqs), _PERIODOGRAM_BLOCK):
+        block = slice(i, i + _PERIODOGRAM_BLOCK)
+        wt = angular_freqs[block].reshape(1, -1) * t.reshape(-1, 1)
+        cos, sin = np.cos(wt), np.sin(wt)
+        cc, cs = np.dot(w, cos * cos), np.dot(w, cos * sin)
+        wt -= 0.5 * np.arctan2(2.0 * cs, cc - (1.0 - cc))  # tau
+        cos, sin = np.cos(wt), np.sin(wt)
+        yc, ys = np.dot(wy, cos), np.dot(wy, sin)
+        cc = np.dot(w, cos * cos)
+        cc, ss = (np.maximum(v, np.finfo(float).epsneg) for v in (cc, 1.0 - cc))
+        out[block] = 2.0 * (yc / cc * yc + ys / ss * ys)[0]
+    return out * (len(t) / 4.0)
 
 
 def fit_heating(times_us, signals,
@@ -356,8 +364,9 @@ def fit_heating(times_us, signals,
     Multi-start bounded least squares; one model evaluation per trial point
     gives the residuals and the analytic Jacobian.  Each start gets 20
     evaluations; the lowest cost (ties: lowest start index) goes on for 60 more
-    if unconverged, and failing that the best start converged at 20 wins.
-    Returns the occupation and the 3x3 parameter covariance at the optimum.
+    if unconverged, and failing that the best start converged at 20 wins.  A
+    start that ends within 1e-6 of the n_th or n_coh bound (50) is not a fit
+    and is never taken.  Returns the occupation and the 3x3 parameter covariance at the optimum.
     """
     if not (math.isfinite(eta) and eta > 0):
         raise ValidationError(f"eta must be finite and > 0, got {eta}")
@@ -403,7 +412,8 @@ def fit_heating(times_us, signals,
         try:
             return scipy.optimize.least_squares(
                 residuals, x0=x0, jac=jac,
-                bounds=([0.0, 0.0, 0.0], [omega_hi, 50.0, 50.0]),
+                bounds=([0.0, 0.0, 0.0],
+                        [omega_hi, _MAX_OCCUPATION, _MAX_OCCUPATION]),
                 x_scale=x_scale, xtol=1e-8, ftol=1e-8, max_nfev=max_nfev)
         except (ValueError, np.linalg.LinAlgError):
             return None
@@ -411,7 +421,8 @@ def fit_heating(times_us, signals,
     def lowest(converged: bool) -> int | None:  # ties go to the lower index
         best = None
         for i, sol in enumerate(firsts):
-            if (sol is not None and (sol.success or not converged) and (
+            if (sol is not None and (sol.success or not converged)
+                    and max(sol.x[1:]) < _MAX_OCCUPATION - 1e-6 and (
                     best is None or sol.cost < firsts[best].cost - 1e-15)):
                 best = i
         return best
@@ -429,7 +440,8 @@ def fit_heating(times_us, signals,
                              _MAX_NFEV - _FIRST_ROUND_NFEV)
     lead = lowest(converged=True)
     if lead is None:
-        raise FitError("sideband fit failed from every start")
+        raise FitError("sideband fit failed from every start: none converged "
+                       "off the n_th and n_coh bound")
     sol = firsts[lead]
     occ = MotionalOccupation(n_th=float(sol.x[1]), n_coh=float(sol.x[2]),
                              rabi_omega=float(sol.x[0]), eta=eta)

@@ -10,21 +10,24 @@ scaling.  The entangling-gate propagator is applied at the midpoint of the
 process window with its rotation axes following the accrued laser phase, so
 free evolution before and after the gate dephases the surrounding pulses.
 
-A dataset is simulated in one pass.  The 256 sequences fall into 16 event
-layouts, one for each choice of which of the four composite blocks are
-identities; the sequences of a layout have their events in the same places,
-so the amplitudes of all their shots evolve together, as (sequence, shot)
-arrays.  Only the column of the shot unitary that acts on |SS> is needed,
-so each shot carries the amplitudes psi[ion 1, ion 2] of that state: a pulse
-is psi <- A psi B^T with batched closed-form rotations A and B, and the gate
-mixes psi with its both-ions-flipped image.
+A dataset is simulated one event layout at a time.  The 256 sequences fall
+into 16 event layouts, one for each choice of which of the four composite
+blocks are identities; the sequences of a layout have their events in the
+same places, so the amplitudes of all their shots evolve together, as
+(sequence, shot) arrays.  Only the column of the shot unitary that acts on
+|SS> is needed, so each shot carries the amplitudes psi[ion 1, ion 2] of
+that state: a pulse is psi <- A psi B^T with batched closed-form rotations
+A and B, and the gate mixes psi with its both-ions-flipped image.  A layout's
+shots are drawn, walked, propagated and counted before the next layout's
+shots are drawn.
 
 Datasets are deterministic for a fixed seed under any execution order: shot s
 of sequence k draws from its own stream, numpy's
-PCG64(SeedSequence(seed, spawn_key=(k, s))).  The streams of all shots are
-derived together in numpy arrays and set in turn on one reused generator.
-On a 2-vCPU x86-64 machine a dataset costs about 5-6 us per shot at 30 shots
-and about 5 us at 500, most of it in that loop.
+PCG64(SeedSequence(seed, spawn_key=(k, s))).  The seeding words of all
+shots are derived together in numpy arrays; each shot's PCG64 state is
+formed from them and set on one reused generator.  On a 2-vCPU x86-64
+machine a dataset costs about 5-6 us per shot at 30 shots and about 5 us at
+500, most of it in that per-shot loop.
 """
 from __future__ import annotations
 
@@ -32,6 +35,7 @@ import functools
 import json
 import math
 import operator
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -180,36 +184,6 @@ def plan_for_process(process: ProcessSpec, shots: int = 500) -> ExperimentPlan:
 
 
 # ---------------------------------------------------------------------------
-# Composite individually addressed rotations
-# ---------------------------------------------------------------------------
-
-def _block_pulse_params(target_ion: int, total_theta: float, total_phi: float,
-                        noise: NoiseModel) -> list[tuple[float, float, float]]:
-    """Per-pulse (theta, phi_ion1, phi_ion2) for one composite block.
-
-    The second pulse happens in the scaled potential: the beam-wide position
-    phase correction leaves ion 1 with the residual phi_p error, and ion 2
-    sits at the differential pi phase relative to ion 1, shifted further by
-    the potential-scaling miscalibration.
-    """
-    if target_ion not in (1, 2):
-        raise ValidationError(f"target_ion must be 1 or 2, got {target_ion}")
-    if not (math.isclose(total_theta, math.pi, rel_tol=1e-12)
-            or math.isclose(total_theta, math.pi / 2, rel_tol=1e-12)):
-        raise ValidationError(
-            f"composite rotation supports theta in {{pi/2, pi}}, got {total_theta}")
-    phi = total_phi
-    phi_p = noise.phi_p_error_mrad * 1e-3
-    scal = noise.scaling_phase_error_mrad_ion2 * 1e-3
-    half = 0.5 * total_theta * (1.0 + noise.pulse_area_fractional_error)
-    if target_ion == 1:
-        return [(half, phi, phi),
-                (half, phi + phi_p, phi + phi_p + math.pi + scal)]
-    return [(half, phi, phi),
-            (half, phi + math.pi + phi_p, phi + phi_p + scal)]
-
-
-# ---------------------------------------------------------------------------
 # Shot schedule and noise trajectories
 # ---------------------------------------------------------------------------
 
@@ -231,16 +205,30 @@ class _Layout:
 
 def _block_events(target: int, setting: RotationSetting, block_start_us: float,
                   timing: TimingModel, noise: NoiseModel) -> list[tuple]:
+    """(time, theta, phi_ion1, phi_ion2) of each pulse of a composite block
+    that rotates ion ``target`` by ``setting``.
+
+    The second pulse happens in the scaled potential: the beam-wide position
+    phase correction leaves ion 1 with the residual phi_p error, and ion 2
+    sits at the differential pi phase relative to ion 1, shifted further by
+    the potential-scaling miscalibration.
+    """
     if setting is RotationSetting.ID:
         return []
-    pulses = _block_pulse_params(target, setting.theta, setting.phi, noise)
+    phi = setting.phi
+    phi_p = noise.phi_p_error_mrad * 1e-3
+    scal = noise.scaling_phase_error_mrad_ion2 * 1e-3
+    half = 0.5 * setting.theta * (1.0 + noise.pulse_area_fractional_error)
+    if target == 1:
+        second = (phi + phi_p, phi + phi_p + math.pi + scal)
+    else:
+        second = (phi + math.pi + phi_p, phi + phi_p + scal)
     # Each laser pulse lasts (theta_half / pi) * pulse_pi_us; the first starts
     # the block and the second ends it.
     dur = (setting.theta / 2.0) / math.pi * timing.pulse_pi_us
-    t_first = block_start_us + 0.5 * dur
-    t_second = block_start_us + timing.composite_block_us - 0.5 * dur
-    (th_a, a1, a2), (th_b, b1, b2) = pulses
-    return [(t_first, th_a, a1, a2), (t_second, th_b, b1, b2)]
+    return [(block_start_us + 0.5 * dur, half, phi, phi),
+            (block_start_us + timing.composite_block_us - 0.5 * dur, half,
+             *second)]
 
 
 @functools.cache
@@ -316,23 +304,19 @@ def _mix(x, y):
     return r ^ r >> 16
 
 
-def _shot_streams(seed: int, shots: int):
-    """Yield, for each sequence k in turn, the PCG64 ``(state, inc)`` of
-    ``SeedSequence(seed, spawn_key=(k, s))`` for every shot ``s``.
+def _shot_streams(seed: int, shots: int) -> np.ndarray:
+    """The uint64 words ``SeedSequence(seed, spawn_key=(k, s))
+    .generate_state(4, np.uint64)`` that seed PCG64 for shot ``s`` of
+    sequence ``k``, as an array of shape (256, shots, 4).
 
     The entropy words are the little-endian uint32 words of the seed, padded
     with zeros to the pool size, then k and s.  The seed words are mixed in
     Python ints, k as an array over the sequences and s as an array over
-    (sequence, shot).  A sequence's states become Python ints only when the
-    caller reaches it.
+    (sequence, shot).
     """
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValidationError(f"seed must be nonnegative, got {seed}")
-    words = [seed & _MASK32]
-    while seed := seed >> 32:
-        words.append(seed & _MASK32)
-    entropy = words + [0] * (_POOL_SIZE - len(words))
+    n_words = max(1, -(-seed.bit_length() // 32))
+    entropy = [seed >> 32 * i & _MASK32 for i in range(n_words)]
+    entropy += [0] * (_POOL_SIZE - n_words)
     # hashmix advances one shared constant per call: 4 to fill the pool, 12
     # to cross-mix it, then 4 for each further word, k and s included.
     n_calls = _POOL_SIZE * (len(entropy) + 2)
@@ -365,78 +349,69 @@ def _shot_streams(seed: int, shots: int):
         mixed = _mix(mixed, _hashmix(shot, h[cs], h[cs + 1]))
         for j in (dst, dst + _POOL_SIZE):
             words[:, :, j] = _hashmix(mixed, g[j], g[j + 1])
-    for seq_words in words.view("<u8"):
-        streams = []
-        for s_hi, s_lo, i_hi, i_lo in seq_words.tolist():
-            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-            state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT
-                     + inc) & _MASK128
-            streams.append((state, inc))
-        yield streams
+    return words.view("<u8")
 
 
 def sample_trajectory(plan: ExperimentPlan, noise: NoiseModel, seed: int,
-                      process: ProcessSpec | None = None
-                      ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Draw the frequency offsets, laser-phase walks and readout draws of
-    every shot of every sequence.
+                      process: ProcessSpec
+                      ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield the frequency offsets, laser-phase walks and readout draws of
+    every shot, one event layout at a time.
 
     Shot ``s`` of sequence ``k`` draws from its own stream, numpy's
-    ``PCG64(SeedSequence(seed, spawn_key=(k, s)))``.  ``_shot_streams``
-    derives the streams of all shots at once; one loop sets them in turn,
-    sequence by sequence and shot by shot, on one reused generator and
-    draws first ``n_events + 1`` standard normals (the fast frequency
-    offset, then one phase-diffusion increment per event), then one uniform
-    readout draw.  That loop is most of a dataset's cost: about 5-6 us per
-    shot in all at 30 shots and 5 us at 500, on a 2-vCPU x86-64 machine.
-    The slow drift contribution is evaluated at the sequence start time and
-    is therefore constant across all shots of a sequence; the fast Gaussian
-    offset is redrawn per shot.  Phase-diffusion increments scale with the
-    square root of the interval between consecutive events.
+    ``PCG64(SeedSequence(seed, spawn_key=(k, s)))``, for a nonnegative int
+    ``seed`` (``generate_dataset`` checks it).  ``_shot_streams`` derives
+    the seeding words of all shots at once.  For each layout, one loop forms
+    the PCG64 state of each of its shots from those words, sets it on one
+    reused generator and draws first ``n_events + 1`` standard normals (the
+    fast frequency offset, then one phase-diffusion increment per event),
+    then one uniform readout draw.  That loop is most of a dataset's cost:
+    about 5-6 us per shot in all at 30 shots and 5 us at 500, on a 2-vCPU
+    x86-64 machine.  The slow drift contribution is evaluated at the
+    sequence start time and is therefore constant across all shots of a
+    sequence; the fast Gaussian offset is redrawn per shot.  Phase-diffusion
+    increments scale with the square root of the interval between
+    consecutive events.
 
-    Returns one ``(freq_offset_hz, phase_offsets, readout)`` per layout of
-    ``_shot_schedule(plan, process, noise)``, of shapes ``(n, shots)``,
-    ``(n, shots, n_events)`` and ``(n, shots)`` for its ``n`` sequences;
-    ``phase_offsets`` is the accrued laser-phase deviation (rad) at each
-    event.
+    Yields one ``(freq_offset_hz, phase_offsets, readout)`` per layout of
+    ``_shot_schedule(plan, process, noise)``, in its order, of shapes
+    ``(n, shots)``, ``(n, shots, n_events)`` and ``(n, shots)`` for its
+    ``n`` sequences; ``phase_offsets`` is the accrued laser-phase deviation
+    (rad) at each event.  Only the layout last yielded is held.
     """
-    process = process or ProcessSpec.identity()
-    layouts = _shot_schedule(plan, process, noise)
     shots = plan.shots_per_sequence
-    # z[:, :, 0] is the frequency draw; z[:, :, 1:] becomes the phase walk.
-    z = [np.empty((len(lay.seqs), shots, lay.times_us.shape[1] + 1))
-         for lay in layouts]
-    readout = [np.empty((len(lay.seqs), shots)) for lay in layouts]
-    rows = {k: (z[i][r], readout[i][r]) for i, lay in enumerate(layouts)
-            for r, k in enumerate(lay.seqs.tolist())}
+    words = _shot_streams(seed, shots)
     bg = np.random.PCG64()  # its state is replaced before every shot
     rng = np.random.Generator(bg)
     # One state dict, refilled per shot: the setter copies the values out.
     stream = {"state": 0, "inc": 0}
     bg_state = {"bit_generator": "PCG64", "state": stream,
                 "has_uint32": 0, "uinteger": 0}
-    for k, streams in enumerate(_shot_streams(seed, shots)):
-        z_k, readout_k = rows[k]
-        for s, (state, inc) in enumerate(streams):
-            stream["state"], stream["inc"] = state, inc
-            bg.state = bg_state
-            rng.standard_normal(out=z_k[s])
-            readout_k[s] = rng.random()
-    out = []
-    for lay, z_l, readout_l in zip(layouts, z, readout):
+    for lay in _shot_schedule(plan, process, noise):
+        # z[:, :, 0] is the frequency draw; z[:, :, 1:] becomes the phase walk.
+        z = np.empty((len(lay.seqs), shots, lay.times_us.shape[1] + 1))
+        readout = np.empty((len(lay.seqs), shots))
+        for k, z_k, readout_k in zip(lay.seqs.tolist(), z, readout):
+            for s, (s_hi, s_lo, i_hi, i_lo) in enumerate(words[k].tolist()):
+                inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+                stream["state"] = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT
+                                   + inc) & _MASK128
+                stream["inc"] = inc
+                bg.state = bg_state
+                rng.standard_normal(out=z_k[s])
+                readout_k[s] = rng.random()
         t_min = plan.start_time_s(lay.seqs) / 60.0
         freq = (noise.drift_hz_per_min * t_min[:, None]
-                + noise.fast_freq_gaussian_sigma_hz * z_l[:, :, 0])
+                + noise.fast_freq_gaussian_sigma_hz * z[:, :, 0])
         dt = np.diff(lay.times_us, axis=1, prepend=0.0)
-        # In place, to hold no second copy of every shot's draws.
-        offsets = z_l[:, :, 1:]
+        # In place, to hold no second copy of the layout's draws.
+        offsets = z[:, :, 1:]
         offsets *= noise.phase_diffusion_rad_per_sqrt_us
         offsets *= np.sqrt(dt)[:, None, :]
         np.cumsum(offsets, axis=2, out=offsets)
         offsets += (2.0 * math.pi * freq[:, :, None]
                     * lay.times_us[:, None, :] * 1e-6)
-        out.append((freq, offsets, readout_l))
-    return out
+        yield freq, offsets, readout
 
 
 def _rotate(u: np.ndarray, v: np.ndarray, c: float | np.ndarray,
@@ -590,10 +565,10 @@ def generate_dataset(plan: ExperimentPlan, process: ProcessSpec,
     """Run all sequences and shots of the plan; deterministic for fixed seed.
 
     Each event layout is one vectorized pass over its sequences and their
-    shots.  A shot reads 2
-    bright ions when its readout draw u < p2, 1 when u < p2 + p1 with
-    p1 = max(0, 1 - p2 - p0), and 0 otherwise.
+    shots.  A shot reads 2 bright ions when its readout draw u < p2, 1 when
+    u < p2 + p1 with p1 = max(0, 1 - p2 - p0), and 0 otherwise.
     """
+    seed = operator.index(seed)
     if seed < 0:
         raise ValidationError(f"seed must be nonnegative, got {seed}")
     if plan.timing.process_duration_us != process.duration_us:
@@ -603,9 +578,9 @@ def generate_dataset(plan: ExperimentPlan, process: ProcessSpec,
             "build the plan with plan_for_process")
     n2 = np.zeros(plan.n_sequences)
     n1 = np.zeros(plan.n_sequences)
-    trajectories = sample_trajectory(plan, noise, seed, process)
     for lay, (_, offsets, u) in zip(_shot_schedule(plan, process, noise),
-                                    trajectories):
+                                    sample_trajectory(plan, noise, seed,
+                                                      process)):
         p2, p0 = _sequence_probabilities(lay, offsets)
         p1 = np.maximum(0.0, 1.0 - p2 - p0)
         n2[lay.seqs] = np.count_nonzero(u < p2, axis=1)

@@ -422,6 +422,44 @@ def test_fit_heating_fails_when_no_start_converges(monkeypatch):
     assert [n for n, _ in calls] == [20] * 5 + [60]
 
 
+def test_fit_heating_rejects_a_fit_on_the_occupation_bound(monkeypatch):
+    # Three starts converge onto n_th = n_coh = 50 with Omega 4.2x the true
+    # value; the leader, start 3, does not converge in its continuation.  A
+    # start on the bound is not a fit, so no start is left.
+    calls = _record_least_squares(monkeypatch)
+    omega = 2 * math.pi * 250e3
+    t = np.linspace(2.0, 600.0, 150)
+    occ = MotionalOccupation(n_th=0.5, n_coh=15.0, rabi_omega=omega, eta=0.039)
+    rng = np.random.default_rng(2)
+    y = sideband_rabi_signal(occ, t) + 0.02 * rng.standard_normal(len(t))
+    with pytest.raises(FitError, match="bound"):
+        fit_heating(t, y, eta=0.039)
+    firsts = [sol for _, sol in calls[:5]]
+    on_bound = [i for i, sol in enumerate(firsts)
+                if sol.success and min(sol.x[1:]) > 50.0 - 1e-6]
+    assert on_bound == [0, 1, 2, 4]
+    assert [n for n, _ in calls] == [20] * 5 + [60]
+    assert not calls[5][1].success
+
+
+def test_periodogram_peak_memory_is_bounded():
+    # 1200 times x 512 frequencies: whole tables would take 4.9 MB each and
+    # peaked at 24.6 MB; blocks of 64 frequencies keep them at 0.6 MB.
+    import tracemalloc
+
+    t_s = np.linspace(2.0, 600.0, 1200) * 1e-6
+    y = np.random.default_rng(0).standard_normal(1200)
+    w = 2 * math.pi * np.linspace(0.25 / np.ptp(t_s),
+                                  0.5 / np.median(np.diff(t_s)), 512)
+    tracemalloc.start()
+    try:
+        analysis._lombscargle(t_s, y, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
+
+
 def test_periodogram_matches_scipy_lombscargle():
     import scipy.signal
 

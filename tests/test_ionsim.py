@@ -17,12 +17,13 @@ from ionqpt.ionsim import (
     simulate_ramsey,
 )
 from ionqpt.ionsim import (
-    _block_pulse_params,
+    _block_events,
     _sequence_probabilities,
     _shot_schedule,
     _shot_streams,
 )
 from ionqpt.protocol import (
+    RotationSetting,
     TimingModel,
     build_plan,
     predict_p2,
@@ -93,38 +94,33 @@ def test_process_spec():
     assert ProcessSpec.from_dict(ms.to_dict()) == ms
 
 
-def _block_unitary(target_ion, theta, phi, noise=None):
+def _block_unitary(target_ion, setting, noise=None):
     """Two-qubit unitary of one composite block, built with np.kron from the
     simulator's per-pulse parameters."""
     u = np.eye(4, dtype=complex)
-    for half, p1, p2 in _block_pulse_params(target_ion, theta, phi,
-                                            noise or NoiseModel.none()):
+    for _, half, p1, p2 in _block_events(target_ion, setting, 0.0,
+                                         TimingModel(),
+                                         noise or NoiseModel.none()):
         u = np.kron(rotation_unitary(half, p1), rotation_unitary(half, p2)) @ u
     return u
 
 
 def test_composite_rotation_noiseless_blocks():
-    for theta, phi in [(math.pi, 0.0), (math.pi / 2, 0.0),
-                       (math.pi / 2, math.pi / 2)]:
-        u1 = _block_unitary(1, theta, phi)
+    for setting in (RotationSetting.XPI, RotationSetting.XHALF,
+                    RotationSetting.YHALF):
+        theta, phi = setting.theta, setting.phi
+        u1 = _block_unitary(1, setting)
         np.testing.assert_allclose(
             u1, np.kron(rotation_unitary(theta, phi), np.eye(2)), atol=1e-12)
-        u2 = _block_unitary(2, theta, phi)
+        u2 = _block_unitary(2, setting)
         np.testing.assert_allclose(
             u2, np.kron(np.eye(2), rotation_unitary(theta, phi)), atol=1e-12)
 
 
-def test_composite_rotation_validation():
-    with pytest.raises(ValidationError):
-        _block_pulse_params(3, math.pi, 0.0, NoiseModel.none())
-    with pytest.raises(ValidationError):
-        _block_pulse_params(1, 0.3, 0.0, NoiseModel.none())
-
-
 def test_composite_rotation_miscalibration_is_differential():
     noise = NoiseModel.paper_study()
-    u1 = _block_unitary(1, math.pi / 2, 0.0, noise=noise)
-    u2 = _block_unitary(2, math.pi / 2, 0.0, noise=noise)
+    u1 = _block_unitary(1, RotationSetting.XHALF, noise=noise)
+    u2 = _block_unitary(2, RotationSetting.XHALF, noise=noise)
     ideal1 = np.kron(rotation_unitary(math.pi / 2, 0.0), np.eye(2))
     ideal2 = np.kron(np.eye(2), rotation_unitary(math.pi / 2, 0.0))
     # both ions' blocks are perturbed, but ion 2 carries only the small
@@ -193,7 +189,8 @@ def test_sample_trajectory_jitter_varies_per_shot():
     freq, offsets, readout = _sequence_trajectory(plan, 3, noise, seed=0)
     freqs = set(freq[:5])
     assert len(freqs) == 5
-    # shot 4 reads its own stream: the normals, then the readout draw
+    # shot 4 reads its own stream, whose PCG64 state the simulator forms
+    # from the seeding words: the normals, then the readout draw
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(0, spawn_key=(3, 4))))
     z = rng.standard_normal(offsets.shape[1] + 1)
@@ -211,14 +208,14 @@ def test_shot_streams_match_numpy_seedsequence(n_words):
     # every (k, s) of a 3-shot dataset
     shots = 3
     for seed in seeds:
-        streams = list(_shot_streams(seed, shots))
-        assert len(streams) == 256
-        for k, seq_streams in enumerate(streams):
-            assert len(seq_streams) == shots
-            for s, stream in enumerate(seq_streams):
-                ref = np.random.PCG64(np.random.SeedSequence(
-                    seed, spawn_key=(k, s))).state["state"]
-                assert stream == (ref["state"], ref["inc"]), (seed, k, s)
+        words = _shot_streams(seed, shots)
+        assert words.shape == (256, shots, 4) and words.dtype == np.uint64
+        for k in range(256):
+            for s in range(shots):
+                ref = np.random.SeedSequence(
+                    seed, spawn_key=(k, s)).generate_state(4, np.uint64)
+                np.testing.assert_array_equal(words[k, s], ref,
+                                              err_msg=str((seed, k, s)))
 
 
 def _reference_shot_unitary(lay, r, offsets):
