@@ -366,7 +366,8 @@ def fit_heating(times_us, signals,
     evaluations; the lowest cost (ties: lowest start index) goes on for 60 more
     if unconverged, and failing that the best start converged at 20 wins.  A
     start that ends within 1e-6 of the n_th or n_coh bound (50) is not a fit
-    and is never taken.  Returns the occupation and the 3x3 parameter covariance at the optimum.
+    and is never taken.  Returns the occupation and the 3x3 parameter
+    covariance at the optimum.
     """
     if not (math.isfinite(eta) and eta > 0):
         raise ValidationError(f"eta must be finite and > 0, got {eta}")

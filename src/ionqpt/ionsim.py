@@ -578,9 +578,9 @@ def generate_dataset(plan: ExperimentPlan, process: ProcessSpec,
             "build the plan with plan_for_process")
     n2 = np.zeros(plan.n_sequences)
     n1 = np.zeros(plan.n_sequences)
+    trajectories = sample_trajectory(plan, noise, seed, process)
     for lay, (_, offsets, u) in zip(_shot_schedule(plan, process, noise),
-                                    sample_trajectory(plan, noise, seed,
-                                                      process)):
+                                    trajectories):
         p2, p0 = _sequence_probabilities(lay, offsets)
         p1 = np.maximum(0.0, 1.0 - p2 - p0)
         n2[lay.seqs] = np.count_nonzero(u < p2, axis=1)

@@ -443,8 +443,8 @@ def test_fit_heating_rejects_a_fit_on_the_occupation_bound(monkeypatch):
 
 
 def test_periodogram_peak_memory_is_bounded():
-    # 1200 times x 512 frequencies: whole tables would take 4.9 MB each and
-    # peaked at 24.6 MB; blocks of 64 frequencies keep them at 0.6 MB.
+    # 1200 times x 512 frequencies: whole tables take 4.9 MB each and
+    # peaked at 23.5 MB; blocks of 64 frequencies keep the peak near 3 MB.
     import tracemalloc
 
     t_s = np.linspace(2.0, 600.0, 1200) * 1e-6
