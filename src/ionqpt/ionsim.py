@@ -17,9 +17,10 @@ same places, so the amplitudes of all their shots evolve together, as
 (sequence, shot) arrays.  Only the column of the shot unitary that acts on
 |SS> is needed, so each shot carries the amplitudes psi[ion 1, ion 2] of
 that state: a pulse is psi <- A psi B^T with batched closed-form rotations
-A and B, and the gate mixes psi with its both-ions-flipped image.  A layout's
-shots are drawn, walked, propagated and counted before the next layout's
-shots are drawn.
+A and B, and the gate mixes psi with its both-ions-flipped image.
+``generate_dataset`` walks the layouts in one loop: a layout's shots are
+drawn, walked, propagated and counted before the next layout's shots are
+drawn.
 
 Datasets are deterministic for a fixed seed under any execution order: shot s
 of sequence k draws from its own stream, numpy's
@@ -35,7 +36,6 @@ import functools
 import json
 import math
 import operator
-from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -56,7 +56,6 @@ __all__ = [
     "NoiseModel",
     "ProcessSpec",
     "ShotDataset",
-    "sample_trajectory",
     "generate_dataset",
     "dataset_from_probabilities",
     "simulate_ramsey",
@@ -352,66 +351,61 @@ def _shot_streams(seed: int, shots: int) -> np.ndarray:
     return words.view("<u8")
 
 
-def sample_trajectory(plan: ExperimentPlan, noise: NoiseModel, seed: int,
-                      process: ProcessSpec
-                      ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield the frequency offsets, laser-phase walks and readout draws of
-    every shot, one event layout at a time.
+def _layout_draws(lay: _Layout, plan: ExperimentPlan, noise: NoiseModel,
+                  words: np.ndarray, rng: np.random.Generator
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The frequency offsets, laser-phase walks and readout draws of the
+    shots of one event layout.
 
     Shot ``s`` of sequence ``k`` draws from its own stream, numpy's
-    ``PCG64(SeedSequence(seed, spawn_key=(k, s)))``, for a nonnegative int
-    ``seed`` (``generate_dataset`` checks it).  ``_shot_streams`` derives
-    the seeding words of all shots at once.  For each layout, one loop forms
-    the PCG64 state of each of its shots from those words, sets it on one
-    reused generator and draws first ``n_events + 1`` standard normals (the
-    fast frequency offset, then one phase-diffusion increment per event),
-    then one uniform readout draw.  That loop is most of a dataset's cost:
-    about 5-6 us per shot in all at 30 shots and 5 us at 500, on a 2-vCPU
-    x86-64 machine.  The slow drift contribution is evaluated at the
-    sequence start time and is therefore constant across all shots of a
-    sequence; the fast Gaussian offset is redrawn per shot.  Phase-diffusion
-    increments scale with the square root of the interval between
-    consecutive events.
+    ``PCG64(SeedSequence(seed, spawn_key=(k, s)))``, whose seeding words are
+    ``words[k, s]`` (``_shot_streams``).  One loop forms the PCG64 state of
+    each shot of the layout from those words, sets it on the bit generator
+    of ``rng``, which is reused for every layout of a dataset, and draws
+    first ``n_events + 1`` standard normals (the fast frequency offset, then
+    one phase-diffusion increment per event), then one uniform readout draw.
+    That loop is most of a dataset's cost: about 5-6 us per shot in all at
+    30 shots and 5 us at 500, on a 2-vCPU x86-64 machine.  The slow drift
+    contribution is evaluated at the sequence start time and is therefore
+    constant across all shots of a sequence; the fast Gaussian offset is
+    redrawn per shot.  Phase-diffusion increments scale with the square
+    root of the interval between consecutive events.
 
-    Yields one ``(freq_offset_hz, phase_offsets, readout)`` per layout of
-    ``_shot_schedule(plan, process, noise)``, in its order, of shapes
-    ``(n, shots)``, ``(n, shots, n_events)`` and ``(n, shots)`` for its
-    ``n`` sequences; ``phase_offsets`` is the accrued laser-phase deviation
-    (rad) at each event.  Only the layout last yielded is held.
+    Returns ``(freq_offset_hz, phase_offsets, readout)`` of shapes
+    ``(n, shots)``, ``(n, shots, n_events)`` and ``(n, shots)`` for the
+    layout's ``n`` sequences; ``phase_offsets`` is the accrued laser-phase
+    deviation (rad) at each event.
     """
-    shots = plan.shots_per_sequence
-    words = _shot_streams(seed, shots)
-    bg = np.random.PCG64()  # its state is replaced before every shot
-    rng = np.random.Generator(bg)
+    shots = words.shape[1]
+    bg = rng.bit_generator
     # One state dict, refilled per shot: the setter copies the values out.
     stream = {"state": 0, "inc": 0}
     bg_state = {"bit_generator": "PCG64", "state": stream,
                 "has_uint32": 0, "uinteger": 0}
-    for lay in _shot_schedule(plan, process, noise):
-        # z[:, :, 0] is the frequency draw; z[:, :, 1:] becomes the phase walk.
-        z = np.empty((len(lay.seqs), shots, lay.times_us.shape[1] + 1))
-        readout = np.empty((len(lay.seqs), shots))
-        for k, z_k, readout_k in zip(lay.seqs.tolist(), z, readout):
-            for s, (s_hi, s_lo, i_hi, i_lo) in enumerate(words[k].tolist()):
-                inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-                stream["state"] = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT
-                                   + inc) & _MASK128
-                stream["inc"] = inc
-                bg.state = bg_state
-                rng.standard_normal(out=z_k[s])
-                readout_k[s] = rng.random()
-        t_min = plan.start_time_s(lay.seqs) / 60.0
-        freq = (noise.drift_hz_per_min * t_min[:, None]
-                + noise.fast_freq_gaussian_sigma_hz * z[:, :, 0])
-        dt = np.diff(lay.times_us, axis=1, prepend=0.0)
-        # In place, to hold no second copy of the layout's draws.
-        offsets = z[:, :, 1:]
-        offsets *= noise.phase_diffusion_rad_per_sqrt_us
-        offsets *= np.sqrt(dt)[:, None, :]
-        np.cumsum(offsets, axis=2, out=offsets)
-        offsets += (2.0 * math.pi * freq[:, :, None]
-                    * lay.times_us[:, None, :] * 1e-6)
-        yield freq, offsets, readout
+    # z[:, :, 0] is the frequency draw; z[:, :, 1:] becomes the phase walk.
+    z = np.empty((len(lay.seqs), shots, lay.times_us.shape[1] + 1))
+    readout = np.empty((len(lay.seqs), shots))
+    for k, z_k, readout_k in zip(lay.seqs.tolist(), z, readout):
+        for s, (s_hi, s_lo, i_hi, i_lo) in enumerate(words[k].tolist()):
+            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+            stream["state"] = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT
+                               + inc) & _MASK128
+            stream["inc"] = inc
+            bg.state = bg_state
+            rng.standard_normal(out=z_k[s])
+            readout_k[s] = rng.random()
+    t_min = plan.start_time_s(lay.seqs) / 60.0
+    freq = (noise.drift_hz_per_min * t_min[:, None]
+            + noise.fast_freq_gaussian_sigma_hz * z[:, :, 0])
+    dt = np.diff(lay.times_us, axis=1, prepend=0.0)
+    # In place, to hold no second copy of the layout's draws.
+    offsets = z[:, :, 1:]
+    offsets *= noise.phase_diffusion_rad_per_sqrt_us
+    offsets *= np.sqrt(dt)[:, None, :]
+    np.cumsum(offsets, axis=2, out=offsets)
+    offsets += (2.0 * math.pi * freq[:, :, None]
+                * lay.times_us[:, None, :] * 1e-6)
+    return freq, offsets, readout
 
 
 def _rotate(u: np.ndarray, v: np.ndarray, c: float | np.ndarray,
@@ -476,6 +470,12 @@ class ShotDataset:
     n0: np.ndarray | None = None
 
     def __post_init__(self):
+        window_us = self.plan.timing.process_duration_us
+        if window_us != self.process.duration_us:
+            raise ValidationError(
+                f"process window mismatch: timing.process_duration_us is "
+                f"{window_us} us, but the {self.process.label} process's "
+                f"duration_us is {self.process.duration_us} us")
         shots = self.plan.shots_per_sequence
         for name in ("n2", "n1", "n0"):
             if name != "n2" and getattr(self, name) is None:
@@ -527,11 +527,6 @@ class ShotDataset:
             raise ValidationError("meta.process is missing")
         process = ProcessSpec.from_dict(meta["process"])
         timing = timing_from_dict(meta["timing"])
-        if process.duration_us != timing.process_duration_us:
-            raise ValidationError(
-                f"meta.process.duration_us ({process.duration_us}) differs "
-                f"from meta.timing.process_duration_us "
-                f"({timing.process_duration_us})")
         shots = meta["shots"]
         if not _is_number(shots) or not float(shots).is_integer():
             raise ValidationError(f"meta.shots must be an integer, got {shots!r}")
@@ -564,23 +559,21 @@ def generate_dataset(plan: ExperimentPlan, process: ProcessSpec,
                      noise: NoiseModel, seed: int) -> ShotDataset:
     """Run all sequences and shots of the plan; deterministic for fixed seed.
 
-    Each event layout is one vectorized pass over its sequences and their
-    shots.  A shot reads 2 bright ions when its readout draw u < p2, 1 when
-    u < p2 + p1 with p1 = max(0, 1 - p2 - p0), and 0 otherwise.
+    One loop over the event layouts of ``_shot_schedule`` draws a layout's
+    shots (``_layout_draws``), propagates them (``_sequence_probabilities``)
+    and counts them before the next layout is drawn.  A shot reads 2 bright
+    ions when its readout draw u < p2, 1 when u < p2 + p1 with
+    p1 = max(0, 1 - p2 - p0), and 0 otherwise.
     """
     seed = operator.index(seed)
     if seed < 0:
         raise ValidationError(f"seed must be nonnegative, got {seed}")
-    if plan.timing.process_duration_us != process.duration_us:
-        raise ValidationError(
-            f"plan's process window ({plan.timing.process_duration_us} us) "
-            f"is not the {process.label} process's ({process.duration_us} us); "
-            "build the plan with plan_for_process")
+    words = _shot_streams(seed, plan.shots_per_sequence)
+    rng = np.random.Generator(np.random.PCG64())  # state set before each shot
     n2 = np.zeros(plan.n_sequences)
     n1 = np.zeros(plan.n_sequences)
-    trajectories = sample_trajectory(plan, noise, seed, process)
-    for lay, (_, offsets, u) in zip(_shot_schedule(plan, process, noise),
-                                    trajectories):
+    for lay in _shot_schedule(plan, process, noise):
+        _, offsets, u = _layout_draws(lay, plan, noise, words, rng)
         p2, p0 = _sequence_probabilities(lay, offsets)
         p1 = np.maximum(0.0, 1.0 - p2 - p0)
         n2[lay.seqs] = np.count_nonzero(u < p2, axis=1)

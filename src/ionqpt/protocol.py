@@ -143,7 +143,8 @@ class ExperimentPlan:
     def n_sequences(self) -> int:
         return len(SEQUENCES)
 
-    def start_time_s(self, k: int) -> float:
+    def start_time_s(self, k: int | np.ndarray) -> float | np.ndarray:
+        """Seconds from the run's start to the start of sequence(s) ``k``."""
         return k * self.shots_per_sequence * self.timing.shot_period_s
 
 

@@ -2,8 +2,7 @@
 
 All matrices are plain complex numpy arrays. Dimensions used elsewhere in the
 package are 2 (one qubit), 4 (two qubits), 16 (process matrices / Choi
-matrices) and 256 (sequences of the tomography plan, the rows of its effect
-matrix).
+matrices) and 256 (the sequences of the tomography plan).
 """
 from __future__ import annotations
 

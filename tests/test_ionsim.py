@@ -13,11 +13,11 @@ from ionqpt.ionsim import (
     generate_dataset,
     plan_for_process,
     ramsey_contrast_model,
-    sample_trajectory,
     simulate_ramsey,
 )
 from ionqpt.ionsim import (
     _block_events,
+    _layout_draws,
     _sequence_probabilities,
     _shot_schedule,
     _shot_streams,
@@ -159,18 +159,26 @@ def test_shot_schedule_follows_the_timing():
     assert not np.array_equal(*times)
 
 
+def _all_layout_draws(plan, noise, seed, process):
+    """(layout, (freq, offsets, readout)) for every layout of a dataset, drawn
+    as generate_dataset draws them."""
+    words = _shot_streams(seed, plan.shots_per_sequence)
+    rng = np.random.Generator(np.random.PCG64())
+    for lay in _shot_schedule(plan, process, noise):
+        yield lay, _layout_draws(lay, plan, noise, words, rng)
+
+
 def _sequence_trajectory(plan, k, noise, seed, process=None):
-    """(freq, offsets, readout) of sequence k, picked out of the layouts
-    that sample_trajectory returns."""
+    """(freq, offsets, readout) of sequence k, picked out of the layout
+    that _layout_draws returns it in."""
     process = process or ProcessSpec.identity()
-    for lay, draws in zip(_shot_schedule(plan, process, noise),
-                          sample_trajectory(plan, noise, seed, process)):
+    for lay, draws in _all_layout_draws(plan, noise, seed, process):
         if k in lay.seqs:
             r = int(np.flatnonzero(lay.seqs == k)[0])
             return tuple(a[r] for a in draws)
 
 
-def test_sample_trajectory_drift_constant_within_sequence():
+def test_layout_draws_drift_constant_within_sequence():
     plan = build_plan(shots=10)
     noise = NoiseModel.drift_only()
     freq100, _, _ = _sequence_trajectory(plan, 100, noise, seed=0)
@@ -182,7 +190,7 @@ def test_sample_trajectory_drift_constant_within_sequence():
     assert t200 > t100 > 0.0
 
 
-def test_sample_trajectory_jitter_varies_per_shot():
+def test_layout_draws_jitter_varies_per_shot():
     plan = build_plan(shots=10)
     noise = NoiseModel(drift_hz_per_min=0.0, fast_freq_sigma_hz=300.0,
                        phase_diffusion_rad_per_sqrt_us=0.0)
@@ -246,8 +254,7 @@ def test_batched_probabilities_match_kron_reference(proc):
     assert len(layouts) == 16
     assert min(lay.times_us.shape[1] for lay in layouts) == (
         1 if proc.is_entangling else 0)
-    for lay, (_, offsets, _) in zip(layouts,
-                                    sample_trajectory(plan, noise, 11, proc)):
+    for lay, (_, offsets, _) in _all_layout_draws(plan, noise, 11, proc):
         p2, p0 = _sequence_probabilities(lay, offsets)
         u = np.array([[_reference_shot_unitary(lay, r, off) for off in row]
                       for r, row in enumerate(offsets)])
@@ -279,6 +286,11 @@ def test_generate_dataset_rejects_plan_for_another_process():
     with pytest.raises(ValidationError, match="process window"):
         generate_dataset(build_plan(shots=20), ProcessSpec.delay(),
                          NoiseModel.none(), seed=0)
+    # The exact-expectation dataset holds the same plan and process.
+    plan = build_plan(shots=10)
+    p = np.full(plan.n_sequences, 0.5)
+    with pytest.raises(ValidationError, match="process window"):
+        dataset_from_probabilities(plan, p, ProcessSpec.delay())
 
 
 def test_noiseless_frequencies_track_forward_model():
