@@ -286,7 +286,7 @@ def test_generate_dataset_rejects_plan_for_another_process():
     with pytest.raises(ValidationError, match="process window"):
         generate_dataset(build_plan(shots=20), ProcessSpec.delay(),
                          NoiseModel.none(), seed=0)
-    # The exact-expectation dataset holds the same plan and process.
+    # ShotDataset checks the window, so an exact-expectation dataset fails too.
     plan = build_plan(shots=10)
     p = np.full(plan.n_sequences, 0.5)
     with pytest.raises(ValidationError, match="process window"):
