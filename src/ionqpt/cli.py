@@ -373,6 +373,12 @@ def main(argv: list[str] | None = None) -> int:
     except (InputError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except OSError as exc:
+        # Inputs are read through _read, so this is an output that cannot be
+        # written; atomic_write_text names the output, not its temp file.
+        print(f"error: cannot write {exc.filename!r}: {exc.strerror}",
+              file=sys.stderr)
+        return EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

@@ -243,14 +243,15 @@ def design_rank(plan: ExperimentPlan) -> int:
 # ---------------------------------------------------------------------------
 
 def _from_dict(cls, d, what: str):
-    """``cls(**d)`` for a mapping ``d`` whose keys are all fields of ``cls``."""
+    """``cls(**d)`` for a mapping ``d`` whose keys are all fields of ``cls``
+    and whose values are no booleans (JSON true is not the number 1)."""
     if not isinstance(d, dict):
         raise ValidationError(f"{what} must be a mapping, got {type(d).__name__}")
     unknown = sorted(set(d) - {f.name for f in fields(cls)})
     if unknown:
         raise ValidationError(f"unknown {what} field(s): {', '.join(unknown)}")
+    flags = sorted(k for k, v in d.items() if isinstance(v, bool))
+    if flags:
+        raise ValidationError(f"{what} field(s) must be numbers, not "
+                              f"booleans: {', '.join(flags)}")
     return cls(**d)
-
-
-def timing_from_dict(d: dict) -> TimingModel:
-    return _from_dict(TimingModel, d, "timing")

@@ -45,7 +45,7 @@ from .process import (
     project_to_physical,
     unitary_to_chi,
 )
-from .protocol import SETTINGS, adjoint_p2, forward_p2, invert_p2, prep_state
+from .protocol import adjoint_p2, design_factors, forward_p2, invert_p2
 from .qmath import PSD_EIGENVALUE_TOL, ValidationError
 
 __all__ = [
@@ -127,8 +127,6 @@ def linear_inversion(dataset: ShotDataset
 
 _EYE4 = np.eye(4)
 _EYE16 = np.eye(16)
-# rho_a^T of the 16 preparations, in the order of a.
-_PREPS_T = np.stack([prep_state(s).T for s in SETTINGS])
 # Predicted probabilities are clipped to [floor, 1 - floor] so that log L
 # stays finite.
 _PROBABILITY_FLOOR = 1e-12
@@ -182,8 +180,9 @@ def _likelihood(dataset: ShotDataset):
     def gradient(p: np.ndarray) -> np.ndarray:
         b = n_other / (1.0 - p)
         prep_sums = b.reshape(16, 16).sum(axis=1)
-        return (adjoint_p2(n2 / p - b)
-                + _kron_eye4(np.tensordot(prep_sums, _PREPS_T, 1)))
+        # Row a of design factor A is vec(rho_a).
+        return (adjoint_p2(n2 / p - b) + _kron_eye4(
+            (prep_sums @ design_factors()[0]).reshape(4, 4).T))
 
     return evaluate, gradient
 

@@ -81,6 +81,19 @@ def test_simulate_out_of_range_noise_exit_2(tmp_path, capsys, field, value):
     assert err.count("\n") == 1
 
 
+def test_simulate_boolean_noise_value_exit_2(tmp_path, capsys):
+    # JSON true is not the number 1.
+    noise_path = tmp_path / "noise.json"
+    noise_path.write_text('{"fast_freq_sigma_hz": true}')
+    out = tmp_path / "ds.json"
+    assert run("simulate", "--process", "identity", "--noise", str(noise_path),
+               "--shots", "2", "--seed", "1", "-o", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "fast_freq_sigma_hz" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--theta", "nan"),
     ("--theta", "inf"),
@@ -201,10 +214,13 @@ def test_reconstruct_bad_timing_exit_2(small_dataset, tmp_path, capsys,
     lambda doc: doc["meta"]["timing"].update(shot_overhead_ms=-1.0),
     lambda doc: doc["meta"]["timing"].update(process_duration_us=-50.0),
     lambda doc: doc["meta"]["timing"].update(process_duration_us=50.0),
+    lambda doc: doc["meta"]["timing"].update(shot_overhead_ms=True),
+    lambda doc: doc["meta"]["process"].update(theta=True),
 ], ids=["noise-unknown-key", "process-unknown-key", "noise-not-a-mapping",
         "top-level-list", "record-not-a-mapping", "noise-value-not-a-number",
         "process-without-label", "shots-not-an-integer", "count-a-string",
-        "negative-shot-period", "negative-process-window", "window-mismatch"])
+        "negative-shot-period", "negative-process-window", "window-mismatch",
+        "timing-value-a-boolean", "process-value-a-boolean"])
 def test_reconstruct_bad_meta_block_exit_2(small_dataset, tmp_path, capsys,
                                            edit):
     with open(small_dataset) as fh:
@@ -506,3 +522,28 @@ def test_heating_degenerate_time_grid_exit_2(tmp_path, capsys, times):
 def test_heating_missing_file_exit_2(tmp_path):
     assert run("heating", str(tmp_path / "missing.csv"),
                "-o", str(tmp_path / "h.json")) == 2
+
+
+# ---------------------------------------------------------------------------
+# output paths
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--process", "identity", "--noise", "none", "--shots", "2",
+     "--seed", "1"],
+    ["reconstruct", "DATASET", "--method", "inversion"],
+    ["report", "CHI", "--ideal", "identity"],
+    ["bell", "--process", "ms", "--shots", "24"],
+    ["ramsey", "--delays", "20", "--shots", "16"],
+], ids=lambda c: c[0])
+def test_output_in_missing_directory_exit_2(small_dataset, tmp_path, capsys,
+                                            command):
+    chi_path = str(tmp_path / "chi.json")
+    save_chi(chi_path, unitary_to_chi(np.eye(4)))
+    inputs = {"DATASET": small_dataset, "CHI": chi_path}
+    out = str(tmp_path / "missing" / "out")
+    assert run(*[inputs.get(a, a) for a in command], "-o", out) == 2
+    # reconstruct notes the unphysical inversion first
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith("error: cannot write ") and out in err[-1]
+    assert [line for line in err if line.startswith("error: ")] == err[-1:]

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from ionqpt import ionsim
 from ionqpt.ionsim import (
     FWHM_TO_SIGMA,
     NoiseModel,
@@ -280,12 +281,20 @@ def test_generate_dataset_deterministic_and_noiseless_corners():
         generate_dataset(plan, proc, NoiseModel.none(), seed=-1)
 
 
-def test_generate_dataset_rejects_plan_for_another_process():
+def test_generate_dataset_rejects_plan_for_another_process(monkeypatch):
     # build_plan's process window is 0 us; the delay process lasts 120 us, so
     # its meta block and shot period would both be wrong.
     with pytest.raises(ValidationError, match="process window"):
         generate_dataset(build_plan(shots=20), ProcessSpec.delay(),
                          NoiseModel.none(), seed=0)
+    # The window is checked before any shot is simulated.
+    def no_streams(seed, shots):
+        raise AssertionError("simulated a plan for another process")
+
+    monkeypatch.setattr(ionsim, "_shot_streams", no_streams)
+    with pytest.raises(ValidationError, match="process window"):
+        generate_dataset(build_plan(shots=500), ProcessSpec.delay(),
+                         NoiseModel.paper_study(), seed=0)
     # ShotDataset checks the window, so an exact-expectation dataset fails too.
     plan = build_plan(shots=10)
     p = np.full(plan.n_sequences, 0.5)
