@@ -46,7 +46,8 @@ from .process import (
 from .protocol import SEQUENCES
 from .qmath import ValidationError, pauli_labels_2q
 from .recon import (
-    MleConfig,
+    GAP_TOLERANCE,
+    MAX_ITERATIONS,
     bootstrap_fidelity,
     linear_inversion,
     mle_reconstruct,
@@ -135,20 +136,19 @@ def cmd_reconstruct(args) -> int:
     sidecar = args.output + ".diagnostics.json"
     status = EXIT_OK
     if args.method == "mle":
-        config = MleConfig(max_iterations=args.max_iterations)
-        chi, result = mle_reconstruct(dataset, config)
+        chi, result = mle_reconstruct(dataset, args.max_iterations)
         diag = {
             "method": "mle",
             "iterations": result.iterations,
             "converged": result.converged,
             "stop_reason": result.stop_reason,
             "gap": result.gap,
-            "gap_tolerance": config.gap_tolerance,
+            "gap_tolerance": GAP_TOLERANCE,
             "final_log_likelihood": result.final_log_likelihood,
         }
         if not result.converged:
             print(f"warning: MLE did not converge: duality gap {result.gap:.3g} "
-                  f"> tolerance {config.gap_tolerance:g} after "
+                  f"> tolerance {GAP_TOLERANCE:g} after "
                   f"{result.iterations} iterations", file=sys.stderr)
             status = EXIT_WARNING
     else:
@@ -317,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reconstruct", help="reconstruct chi from a dataset")
     p.add_argument("dataset")
     p.add_argument("--method", default="mle", choices=["mle", "inversion"])
-    p.add_argument("--max-iterations", type=int, default=20000)
+    p.add_argument("--max-iterations", type=int, default=MAX_ITERATIONS)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_reconstruct)
 

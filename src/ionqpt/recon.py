@@ -18,7 +18,7 @@ at the base dilution.  Every 10 iterations the solve
 checks the duality gap 4 lambda_max(R - Lambda_0 (x) I), Lambda_0 =
 herm Tr_out(R J).  log L is concave and Tr(R J') <= Tr Lambda for every CPTP
 J' once Lambda (x) I >= R, so the gap bounds log L* - log L(J) over all CPTP
-maps; the solve stops once it is at most ``MleConfig.gap_tolerance``.
+maps; the solve stops once it is at most ``GAP_TOLERANCE``.
 
 Both halves of an iteration read the forward model of ``protocol``: sequence
 k = 16*a + b prepares rho_a and has the both-bright effect
@@ -30,7 +30,6 @@ preparations weighted by the row sums of b over the measurements.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -49,7 +48,8 @@ from .protocol import adjoint_p2, design_factors, forward_p2, invert_p2
 from .qmath import PSD_EIGENVALUE_TOL, ValidationError
 
 __all__ = [
-    "MleConfig",
+    "MAX_ITERATIONS",
+    "GAP_TOLERANCE",
     "MleResult",
     "LinearInversionDiagnostics",
     "BootstrapReport",
@@ -60,27 +60,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MleConfig:
-    """Controls of the iterative MLE scheme (the algorithm itself leaves
-    stopping rules and stabilization unspecified; these are our choices)."""
-
-    max_iterations: int = 20000
-    gap_tolerance: float = 1e-3  # nats
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValidationError("max_iterations must be >= 1")
-        if not (0.0 < self.gap_tolerance < math.inf):
-            raise ValidationError("gap_tolerance must be finite and > 0")
+MAX_ITERATIONS = 20000
+GAP_TOLERANCE = 1e-3  # nats
 
 
 @dataclass
 class MleResult:
-    iterations: int
-    log_likelihoods: np.ndarray
+    log_likelihoods: np.ndarray  # of every accepted iterate
     gap: float  # duality bound on log L* - log L of the returned J
     stop_reason: str  # "gap" (certified) or "budget"
+
+    @property
+    def iterations(self) -> int:
+        return len(self.log_likelihoods)
 
     @property
     def converged(self) -> bool:
@@ -167,10 +159,8 @@ def _duality_gap(r: np.ndarray, j: np.ndarray) -> float:
     return 4.0 * float(np.linalg.eigvalsh(r - _kron_eye4(lam0))[-1])
 
 
-def _likelihood(dataset: ShotDataset):
-    """The dataset's ``evaluate(J) -> (p, log L)`` and ``gradient(p) -> R``."""
-    shots = dataset.plan.shots_per_sequence
-    n2 = dataset.n2
+def _likelihood(n2: np.ndarray, shots: int):
+    """``evaluate(J) -> (p, log L)`` and ``gradient(p) -> R`` of the counts."""
     n_other = shots - n2
 
     def evaluate(j: np.ndarray) -> tuple[np.ndarray, float]:
@@ -187,13 +177,20 @@ def _likelihood(dataset: ShotDataset):
     return evaluate, gradient
 
 
-def _mle_choi(dataset: ShotDataset, config: MleConfig
-              ) -> tuple[np.ndarray, list[float], float]:
-    """Run the iteration; returns the last Choi matrix J, the log-likelihood
-    of every accepted iterate up to and including J, and J's duality gap."""
-    evaluate, gradient = _likelihood(dataset)
+def _budget(max_iterations: int | None) -> int:
+    """The iteration budget: ``MAX_ITERATIONS`` for None, else at least 1."""
+    budget = MAX_ITERATIONS if max_iterations is None else max_iterations
+    if budget < 1:
+        raise ValidationError("max_iterations must be >= 1")
+    return budget
+
+
+def _mle(n2: np.ndarray, shots: int, max_iterations: int
+         ) -> tuple[ProcessMatrix, MleResult]:
+    """Run the iteration on the counts ``n2`` of ``shots`` shots each."""
+    evaluate, gradient = _likelihood(n2, shots)
     # Balance scales so that Tr(R_hat J) = Tr(I J) = 4 at the current J.
-    scale = 4.0 / (dataset.plan.shots_per_sequence * dataset.plan.n_sequences)
+    scale = 4.0 / (shots * n2.size)
     d = _DILUTION_BASE
     j = np.eye(16, dtype=complex) / 4.0  # maximally mixed, trivially CPTP
     p, log_l = evaluate(j)
@@ -201,10 +198,11 @@ def _mle_choi(dataset: ShotDataset, config: MleConfig
     while True:
         r = gradient(p)
         n = len(log_ls)
-        if n % _GAP_CHECK_EVERY == 0 or n == config.max_iterations:
+        if n % _GAP_CHECK_EVERY == 0 or n == max_iterations:
             gap = _duality_gap(r, j)
-            if gap <= config.gap_tolerance or n == config.max_iterations:
-                return j, log_ls, gap
+            converged = gap <= GAP_TOLERANCE
+            if converged or n == max_iterations:
+                break
         r_hat = scale * r
         trial = _dilute_step(j, r_hat, d)
         p_trial, log_trial = evaluate(trial)
@@ -216,21 +214,18 @@ def _mle_choi(dataset: ShotDataset, config: MleConfig
             d = min(d * _DILUTION_GROWTH, _DILUTION_CAP)
         j, p, log_l = trial, p_trial, log_trial
         log_ls.append(log_l)
+    return (ProcessMatrix(project_to_physical(choi_to_chi(j))),
+            MleResult(np.array(log_ls), gap, "gap" if converged else "budget"))
 
 
-def mle_reconstruct(dataset: ShotDataset, config: MleConfig | None = None
+def mle_reconstruct(dataset: ShotDataset, max_iterations: int | None = None
                     ) -> tuple[ProcessMatrix, MleResult]:
     """CPTP maximum-likelihood chi for the dataset's both-bright counts."""
-    config = config or MleConfig()
-    j, log_ls, gap = _mle_choi(dataset, config)
-    chi = project_to_physical(choi_to_chi(j))
-    result = MleResult(iterations=len(log_ls), log_likelihoods=np.array(log_ls),
-                       gap=gap, stop_reason=("gap" if gap <= config.gap_tolerance
-                                             else "budget"))
-    return ProcessMatrix(chi), result
+    return _mle(dataset.n2, dataset.plan.shots_per_sequence,
+                _budget(max_iterations))
 
 
-def bootstrap_statistic(dataset: ShotDataset, config: MleConfig | None,
+def bootstrap_statistic(dataset: ShotDataset, max_iterations: int | None,
                         statistic: Callable[[ProcessMatrix], float],
                         replicas: int, seed: int,
                         results: list[MleResult] | None = None) -> np.ndarray:
@@ -242,30 +237,28 @@ def bootstrap_statistic(dataset: ShotDataset, config: MleConfig | None,
     """
     if replicas < 2:
         raise ValidationError("bootstrap needs at least 2 replicas")
-    plan = dataset.plan
-    shots = plan.shots_per_sequence
+    budget = _budget(max_iterations)
+    shots = dataset.plan.shots_per_sequence
     freq = dataset.frequencies
     values = []
     for r in range(replicas):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
-        resampled = ShotDataset(plan=plan, noise=dataset.noise,
-                                process=dataset.process, seed=None,
-                                n2=rng.binomial(shots, freq).astype(float))
-        chi, result = mle_reconstruct(resampled, config)
+        chi, result = _mle(rng.binomial(shots, freq).astype(float), shots,
+                           budget)
         values.append(float(statistic(chi)))
         if results is not None:
             results.append(result)
     return np.array(values)
 
 
-def bootstrap_fidelity(dataset: ShotDataset, config: MleConfig | None,
+def bootstrap_fidelity(dataset: ShotDataset, max_iterations: int | None,
                        ideal_u: np.ndarray, replicas: int,
                        seed: int) -> BootstrapReport:
     """Bootstrap standard deviation of F_p versus a unitary target."""
     chi_ideal = unitary_to_chi(ideal_u)
     results: list[MleResult] = []
     samples = bootstrap_statistic(
-        dataset, config,
+        dataset, max_iterations,
         lambda chi: process_fidelity(chi, chi_ideal),
         replicas, seed, results)
     return BootstrapReport(replicas=replicas, fidelity_samples=samples,

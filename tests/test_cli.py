@@ -302,11 +302,10 @@ def test_report_over_rotated(tmp_path, capsys):
 def test_report_unconverged_bootstrap_warns(small_dataset, tmp_path, capsys,
                                             monkeypatch):
     import ionqpt.cli
-    from ionqpt.recon import MleConfig, bootstrap_fidelity
+    from ionqpt.recon import bootstrap_fidelity
 
-    def short_budget(dataset, config, *args, **kwargs):
-        return bootstrap_fidelity(dataset, MleConfig(max_iterations=5),
-                                  *args, **kwargs)
+    def short_budget(dataset, max_iterations, *args, **kwargs):
+        return bootstrap_fidelity(dataset, 5, *args, **kwargs)
 
     monkeypatch.setattr(ionqpt.cli, "bootstrap_fidelity", short_budget)
     chi_path = str(tmp_path / "chi.json")

@@ -1,6 +1,8 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -31,8 +33,9 @@ from ionqpt.protocol import (
     prep_state,
 )
 from ionqpt.qmath import ValidationError, two_qubit_pauli_basis
+from ionqpt import recon
 from ionqpt.recon import (
-    MleConfig,
+    GAP_TOLERANCE,
     _DILUTION_BASE,
     _PROBABILITY_FLOOR,
     _dilute_step,
@@ -59,12 +62,21 @@ def ms_sampled_dataset():
     return generate_dataset(plan, proc, NoiseModel.none(), seed=0)
 
 
-def test_mle_config_validation():
-    for tol in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(ValidationError):
-            MleConfig(gap_tolerance=tol)
-    with pytest.raises(ValidationError):
-        MleConfig(max_iterations=0)
+def test_mle_config_validation(ms_exact_dataset, monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("solved with a budget below 1")
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew a replica with a budget below 1")
+
+    monkeypatch.setattr(recon, "_mle", no_solve)
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    for budget in (0, -1):
+        with pytest.raises(ValidationError, match="max_iterations"):
+            mle_reconstruct(ms_exact_dataset, budget)
+        with pytest.raises(ValidationError, match="max_iterations"):
+            bootstrap_statistic(ms_exact_dataset, budget, lambda c: 0.0,
+                                replicas=2, seed=0)
 
 
 def test_linear_inversion_exact(ms_exact_dataset):
@@ -104,11 +116,10 @@ def test_mle_likelihood_monotone(ms_sampled_dataset):
 
 
 def test_mle_iteration_budget(ms_sampled_dataset):
-    _, result = mle_reconstruct(ms_sampled_dataset,
-                                MleConfig(max_iterations=5))
+    _, result = mle_reconstruct(ms_sampled_dataset, 5)
     assert not result.converged
     assert result.stop_reason == "budget"
-    assert result.gap > MleConfig().gap_tolerance
+    assert result.gap > GAP_TOLERANCE
     assert result.iterations == 5
 
 
@@ -127,24 +138,36 @@ def test_mle_output_is_cptp_on_random_counts(counts, budget):
     proc = ProcessSpec.ms()
     ds = ShotDataset(plan=plan_for_process(proc, shots=shots),
                      noise=NoiseModel.none(), process=proc, seed=None, n2=n2)
-    chi, _ = mle_reconstruct(ds, MleConfig(max_iterations=budget))
+    chi, _ = mle_reconstruct(ds, budget)
     diag = validate_cptp(chi)
     assert diag.is_physical(), diag
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_duality_gap_bounds_the_likelihood_still_to_gain(seed):
-    # uniformly random counts, which no channel fits closely
+def _uniform_counts(seed: int) -> tuple[int, np.ndarray]:
+    """Uniformly random counts at 20 shots, which no channel fits closely."""
+    return 20, np.random.default_rng(seed).integers(0, 21, 256).astype(float)
+
+
+# Derandomized and bounded as above, to about two seconds.  The
+# reference solve stops at a gap of 1e-6 or after 2000 iterations; either
+# way its log L is at most log L*, which is all the bound needs.
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(count_vectors(),
+       st.sets(st.sampled_from([1, 7, 10, 40, 100, 300]), min_size=1))
+@example(_uniform_counts(0), {1, 10, 100, 300})
+@example(_uniform_counts(1), {1, 10, 100, 300})
+@example(_uniform_counts(2), {1, 10, 100, 300})
+def test_duality_gap_bounds_the_likelihood_still_to_gain(counts, budgets):
+    shots, n2 = counts
     proc = ProcessSpec.ms()
-    plan = plan_for_process(proc, shots=20)
-    rng = np.random.default_rng(seed)
-    ds = ShotDataset(plan=plan, noise=NoiseModel.none(), process=proc,
-                     seed=None, n2=rng.integers(0, 21, 256).astype(float))
-    _, long = mle_reconstruct(ds, MleConfig(gap_tolerance=1e-6))
-    assert long.stop_reason == "gap"
-    assert -1e-9 <= long.gap <= 1e-6
-    for budget in (1, 10, 100, 300):
-        _, short = mle_reconstruct(ds, MleConfig(max_iterations=budget))
+    ds = ShotDataset(plan=plan_for_process(proc, shots=shots),
+                     noise=NoiseModel.none(), process=proc, seed=None, n2=n2)
+    with mock.patch.object(recon, "GAP_TOLERANCE", 1e-6):
+        _, long = mle_reconstruct(ds, 2000)
+    assert long.gap >= -1e-9
+    assert long.converged == (long.gap <= 1e-6)
+    for budget in sorted(budgets):
+        _, short = mle_reconstruct(ds, budget)
         assert short.gap >= -1e-9
         assert short.gap >= (long.final_log_likelihood
                              - short.final_log_likelihood - 1e-9)
@@ -155,33 +178,32 @@ def test_noiseless_seed2_certifies_within_budget():
     proc = ProcessSpec.ms()
     ds = generate_dataset(plan_for_process(proc, shots=50), proc,
                           NoiseModel.none(), seed=2)
-    _, result = mle_reconstruct(ds, MleConfig(max_iterations=5000))
+    _, result = mle_reconstruct(ds, 5000)
     assert result.stop_reason == "gap"
     assert result.converged
     assert result.iterations < 5000
-    assert result.gap <= MleConfig().gap_tolerance
+    assert result.gap <= GAP_TOLERANCE
 
 
-def test_bootstrap_determinism(ms_sampled_dataset):
-    # a loose MLE budget keeps this about stream determinism, not convergence
-    config = MleConfig(max_iterations=200, gap_tolerance=1.0)
+def test_bootstrap_determinism(ms_sampled_dataset, monkeypatch):
+    # a loose MLE stop keeps this about stream determinism, not convergence
+    monkeypatch.setattr(recon, "GAP_TOLERANCE", 1.0)
     stat = lambda chi: float(chi.chi[0, 0].real)
-    a = bootstrap_statistic(ms_sampled_dataset, config, stat, replicas=3, seed=11)
-    b = bootstrap_statistic(ms_sampled_dataset, config, stat, replicas=3, seed=11)
+    a = bootstrap_statistic(ms_sampled_dataset, 200, stat, replicas=3, seed=11)
+    b = bootstrap_statistic(ms_sampled_dataset, 200, stat, replicas=3, seed=11)
     np.testing.assert_array_equal(a, b)
-    c = bootstrap_statistic(ms_sampled_dataset, config, stat, replicas=3, seed=12)
+    c = bootstrap_statistic(ms_sampled_dataset, 200, stat, replicas=3, seed=12)
     assert not np.array_equal(a, c)
 
 
 def test_bootstrap_counts_unconverged_replicas(ms_sampled_dataset):
-    config = MleConfig(max_iterations=5)
     results = []
-    samples = bootstrap_statistic(ms_sampled_dataset, config,
+    samples = bootstrap_statistic(ms_sampled_dataset, 5,
                                   lambda chi: 0.0, replicas=3, seed=1,
                                   results=results)
     assert len(samples) == 3
     assert [r.iterations for r in results] == [5, 5, 5]
-    report = bootstrap_fidelity(ms_sampled_dataset, config,
+    report = bootstrap_fidelity(ms_sampled_dataset, 5,
                                 ms_sampled_dataset.process.ideal_unitary(),
                                 replicas=2, seed=1)
     assert report.unconverged == 2
@@ -309,7 +331,7 @@ def test_mle_iteration_matches_einsum_reference(ms_sampled_dataset):
     # every iterate of 200 reference steps: the kernel's p, log L and R at
     # it, and its base-dilution step from it
     trace, j_last = _einsum_mle_choi(ms_sampled_dataset, 200)
-    evaluate, gradient = _likelihood(ms_sampled_dataset)
+    evaluate, gradient = _likelihood(ms_sampled_dataset.n2, 150)
     scale = 4.0 / (150.0 * 256)
     next_refs = [t[0] for t in trace[1:]] + [j_last]
     for (j_ref, p_ref, log_l_ref, r_ref), j_next_ref in zip(trace, next_refs):
