@@ -29,6 +29,7 @@ __all__ = [
     "MotionalOccupation",
     "OverRotationFit",
     "RamseyFit",
+    "RAMSEY_MIN_DELAYS",
     "simulate_parity_scan",
     "bell_populations",
     "bell_state_fidelity",
@@ -92,7 +93,8 @@ def simulate_parity_scan(chi: ProcessMatrix, shots: int = 0,
 
     The analysis phase takes 24 equally spaced values in [0, 2 pi).  With
     ``shots`` > 0 each phase point is multinomially sampled with shots/24
-    repetitions; shots = 0 returns exact populations.  The amplitude is a
+    repetitions, from populations clipped into [0, 1] against round-off;
+    shots = 0 returns exact populations.  The amplitude is a
     least-squares fit of a*sin(2 phi) + b*cos(2 phi) + c.
     """
     phases = np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False)
@@ -107,7 +109,7 @@ def simulate_parity_scan(chi: ProcessMatrix, shots: int = 0,
     for i, phi in enumerate(phases):
         q2, q1, q0 = _output_populations(chi, float(phi))
         if per_point:
-            counts = rng.multinomial(per_point, [q2, q1, q0])
+            counts = rng.multinomial(per_point, np.clip([q2, q1, q0], 0, 1))
             p2[i], p1[i], p0[i] = counts / per_point
         else:
             p2[i], p1[i], p0[i] = q2, q1, q0
@@ -127,7 +129,7 @@ def bell_populations(chi: ProcessMatrix, shots: int = 0,
     q2, q1, q0 = _output_populations(chi, None)
     if shots:
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        counts = rng.multinomial(shots, [q2, q1, q0])
+        counts = rng.multinomial(shots, np.clip([q2, q1, q0], 0, 1))
         return counts[2] / shots, counts[0] / shots
     return q0, q2
 
@@ -178,6 +180,9 @@ def fit_over_rotation(chi_meas: ProcessMatrix) -> OverRotationFit:
 # Ramsey noise-model fit
 # ---------------------------------------------------------------------------
 
+RAMSEY_MIN_DELAYS = 3  # the fit has two parameters
+
+
 @dataclass(frozen=True)
 class RamseyFit:
     phase_diffusion_rad_per_sqrt_us: float
@@ -194,8 +199,8 @@ def fit_ramsey_model(delays_us, contrasts) -> RamseyFit:
     """
     delays_us = np.asarray(delays_us, dtype=float)
     contrasts = np.asarray(contrasts, dtype=float)
-    if len(delays_us) < 3:
-        raise ValidationError("need at least 3 delay points")
+    if len(delays_us) < RAMSEY_MIN_DELAYS:
+        raise ValidationError(f"need at least {RAMSEY_MIN_DELAYS} delays")
     if np.ptp(contrasts) < 1e-9:
         raise FitError("contrast curve is flat; noise parameters unidentifiable")
     try:

@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from .analysis import (
+    RAMSEY_MIN_DELAYS,
     FitError,
     bell_populations,
     bell_state_fidelity,
@@ -209,7 +210,8 @@ def cmd_report(args) -> int:
 
 def cmd_bell(args) -> int:
     if args.chi is not None:
-        chi = _load_chi(args.chi)
+        # Sampling the scan needs populations in [0, 1]: a physical chi.
+        chi = _read("chi file", args.chi, load_chi)
         source = {"chi": args.chi}
     else:
         process = _PROCESSES[args.process](args.theta)
@@ -241,6 +243,9 @@ def cmd_ramsey(args) -> int:
         delays = [float(x) for x in args.delays.split(",")]
     except ValueError as exc:
         raise InputError(f"bad --delays list: {exc}") from exc
+    if args.fit and len(delays) < RAMSEY_MIN_DELAYS:
+        raise InputError(f"--fit needs at least {RAMSEY_MIN_DELAYS} delays, "
+                         f"got {len(delays)}")
     noise = _noise_from_arg(args.noise)
     contrasts = simulate_ramsey(delays, noise, args.shots, seed=args.seed)
     write_series_csv(args.output, delays, contrasts,
@@ -249,7 +254,7 @@ def cmd_ramsey(args) -> int:
     if args.fit:
         try:
             fit = fit_ramsey_model(np.asarray(delays), contrasts)
-        except (ValidationError, FitError) as exc:
+        except FitError as exc:
             print(f"warning: Ramsey fit failed: {exc}", file=sys.stderr)
             return EXIT_WARNING
         print(f"fitted phase diffusion "

@@ -475,9 +475,11 @@ class ShotDataset:
                 raise ValidationError("counts must be finite")
             if n.min() < 0 or n.max() > shots:
                 raise ValidationError(f"counts must satisfy 0 <= {name} <= shots")
-        if (self.n1 is not None and self.n0 is not None
-                and np.any(self.n0 + self.n1 + self.n2 != shots)):
+        others = [n for n in (self.n1, self.n0) if n is not None]
+        if len(others) == 2 and np.any(self.n0 + self.n1 + self.n2 != shots):
             raise ValidationError("counts must satisfy n0 + n1 + n2 == shots")
+        if len(others) == 1 and np.any(self.n2 + others[0] > shots):
+            raise ValidationError("counts must sum to at most shots")
 
     @property
     def frequencies(self) -> np.ndarray:

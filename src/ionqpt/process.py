@@ -67,9 +67,10 @@ CHI_CONVENTION = "unnormalized-pauli-trace-one"
 class ProcessMatrix:
     """A 16x16 chi matrix in the two-qubit Pauli-product basis.
 
-    Validated instances are Hermitian (1e-10), PSD down to -1e-8 on the
-    minimum eigenvalue, and have unit trace (1e-8).  Pass ``validate=False``
-    for possibly-unphysical matrices (e.g. raw linear inversion output).
+    Entries are finite.  Validated instances are Hermitian (1e-10), PSD down
+    to -1e-8 on the minimum eigenvalue, and have unit trace (1e-8).  Pass
+    ``validate=False`` for possibly-unphysical matrices (e.g. raw linear
+    inversion output).
     """
 
     __slots__ = ("chi",)
@@ -78,6 +79,8 @@ class ProcessMatrix:
         chi = np.array(chi, dtype=complex)
         if chi.shape != (16, 16):
             raise ValidationError(f"chi must be 16x16, got {chi.shape}")
+        if not np.all(np.isfinite(chi)):
+            raise ValidationError("chi has non-finite entries")
         if validate:
             require_hermitian(chi, HERMITICITY_TOL, name="chi")
             min_eig = float(np.linalg.eigvalsh(0.5 * (chi + chi.conj().T))[0])

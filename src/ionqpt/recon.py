@@ -110,6 +110,11 @@ def linear_inversion(dataset: ShotDataset
     j = invert_p2(dataset.frequencies)
     chi = choi_to_chi(0.5 * (j + j.conj().T))
     raw_trace = float(chi.trace().real)
+    # A quarter of the summed frequencies of the 16 sequences that prepare
+    # and measure with I and X_pi only; round-off alone when those are all 0.
+    if raw_trace <= 1e-12:
+        raise ValidationError("linear inversion has zero trace: no both-"
+                              "bright counts where only I and X_pi are used")
     chi = chi / raw_trace
     min_eig = float(np.linalg.eigvalsh(0.5 * (chi + chi.conj().T))[0])
     return (ProcessMatrix(chi, validate=False),

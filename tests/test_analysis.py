@@ -54,6 +54,18 @@ def test_parity_scan_sampled_is_deterministic():
     assert a.p_amp == b.p_amp
 
 
+def test_sampling_clips_round_off_populations():
+    # identity plus a -5e-9 weight on XX: validated (PSD to -1e-8), and it
+    # sends |SS> to population 1 + 5e-9 there and -5e-9 in |DD>
+    c = np.zeros((16, 16), dtype=complex)
+    c[0, 0], c[5, 5] = 1.0 + 5e-9, -5e-9
+    chi = ProcessMatrix(c)
+    p0, p2 = bell_populations(chi, shots=100, seed=0)
+    assert (p0, p2) == (0.0, 1.0)
+    scan = simulate_parity_scan(chi, shots=2400, seed=0)
+    np.testing.assert_allclose(scan.p2 + scan.p1 + scan.p0, 1.0, atol=1e-12)
+
+
 def test_bell_fidelity_over_rotation_oracle():
     theta = 1.04
     chi = over_rotated_chi(theta)

@@ -6,7 +6,12 @@ import pytest
 
 from ionqpt.cli import main
 from ionqpt.ionsim import NoiseModel, ShotDataset
-from ionqpt.process import load_chi, save_chi, unitary_to_chi
+from ionqpt.process import (
+    chi_to_json_dict,
+    load_chi,
+    save_chi,
+    unitary_to_chi,
+)
 from ionqpt.qmath import matrix_exponential, two_qubit_pauli_basis
 
 _XX = two_qubit_pauli_basis()[5]
@@ -254,6 +259,54 @@ def test_reconstruct_dataset_without_process_exit_2(small_dataset, tmp_path,
     assert not (tmp_path / "chi.json").exists()
 
 
+def _edited_dataset(small_dataset, tmp_path, edit_record) -> str:
+    with open(small_dataset) as fh:
+        doc = json.load(fh)
+    for rec in doc["records"]:
+        edit_record(rec)
+    path = str(tmp_path / "edited.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    return path
+
+
+def _assert_one_error_line(capsys):
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return out, err
+
+
+def test_reconstruct_inversion_zero_trace_exit_2(small_dataset, tmp_path,
+                                                 capsys):
+    # With every n2 = 0 the 16 sequences that set the raw trace have no
+    # counts, and the trace is zero.
+    path = _edited_dataset(small_dataset, tmp_path, lambda rec: rec.update(
+        n0=rec["n0"] + rec["n2"], n2=0))
+    out = tmp_path / "chi.json"
+    assert run("reconstruct", path, "--method", "inversion",
+               "-o", str(out)) == 2
+    assert "zero trace" in _assert_one_error_line(capsys)[1]
+    assert not out.exists()
+    assert not (tmp_path / "chi.json.diagnostics.json").exists()
+
+
+@pytest.mark.parametrize("drop", ["n0", "n1"])
+def test_reconstruct_counts_above_shots_exit_2(small_dataset, tmp_path,
+                                               capsys, drop):
+    # n2 + n1 (or n2 + n0) of 61 at 60 shots, with the third count absent
+    def edit(rec):
+        kept = "n1" if drop == "n0" else "n0"
+        rec[kept] = 60 - rec["n2"] + (rec["k"] == 5)
+        del rec[drop]
+
+    path = _edited_dataset(small_dataset, tmp_path, edit)
+    out = tmp_path / "chi.json"
+    assert run("reconstruct", path, "--method", "inversion",
+               "-o", str(out)) == 2
+    assert "at most shots" in _assert_one_error_line(capsys)[1]
+    assert not out.exists()
+
+
 def test_reconstruct_accepts_integral_float_shots(small_dataset, tmp_path):
     with open(small_dataset) as fh:
         doc = json.load(fh)
@@ -332,6 +385,22 @@ def test_report_too_few_replicas_exit_2_before_any_work(small_dataset,
     assert not (tmp_path / "rep_re.csv").exists()
 
 
+def _write_nan_chi(path: str) -> None:
+    doc = chi_to_json_dict(unitary_to_chi(matrix_exponential(_XX, 1.04)))
+    doc["re"][0][0] = float("nan")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+
+
+def test_report_non_finite_chi_exit_2(tmp_path, capsys):
+    chi_path = str(tmp_path / "chi.json")
+    _write_nan_chi(chi_path)
+    assert run("report", chi_path, "-o", str(tmp_path / "rep")) == 2
+    out, err = _assert_one_error_line(capsys)
+    assert out == "" and "non-finite" in err
+    assert not (tmp_path / "rep_re.csv").exists()
+
+
 def test_report_missing_chi_exit_2(tmp_path):
     assert run("report", str(tmp_path / "nope.json"),
                "-o", str(tmp_path / "rep")) == 2
@@ -379,6 +448,34 @@ def test_bell_over_rotated(tmp_path):
     assert abs(doc["bell_state_fidelity"] - expected) < 1e-6
 
 
+@pytest.fixture(scope="module")
+def unphysical_chi(tmp_path_factory):
+    """Linear inversion of 5 paper-noise shots; min eigenvalue about -1.3."""
+    d = tmp_path_factory.mktemp("unphysical")
+    assert run("simulate", "--process", "ms", "--noise", "paper",
+               "--shots", "5", "--seed", "3", "-o", str(d / "ms.json")) == 0
+    assert run("reconstruct", str(d / "ms.json"), "--method", "inversion",
+               "-o", str(d / "chi.json")) == 0
+    return str(d / "chi.json")
+
+
+# (A NaN chi with --shots 0 already failed the population range check.)
+@pytest.mark.parametrize("chi,shots", [("nan", "10000"),
+                                       ("unphysical", "10000"),
+                                       ("unphysical", "0")])
+def test_bell_rejects_non_finite_or_unphysical_chi(unphysical_chi, tmp_path,
+                                                   capsys, chi, shots):
+    chi_path = unphysical_chi
+    if chi == "nan":
+        chi_path = str(tmp_path / "chi.json")
+        _write_nan_chi(chi_path)
+    out = tmp_path / "bell.json"
+    assert run("bell", "--chi", chi_path, "--shots", shots,
+               "-o", str(out)) == 2
+    assert _assert_one_error_line(capsys)[0] == ""
+    assert not out.exists()
+
+
 def test_bell_rejects_non_entangling(tmp_path):
     assert run("bell", "--process", "identity",
                "-o", str(tmp_path / "bell.json")) == 2
@@ -415,12 +512,21 @@ def test_ramsey_bad_delays_exit_2(tmp_path, capsys):
     for args in (["--delays", "20,sixty"], ["--delays", "20,nan"],
                  ["--delays", "20,inf"], ["--delays", "20,0"],
                  ["--shots", "-3"], ["--shots", "0"], ["--shots", "1"],
-                 ["--shots", "15"]):
+                 ["--shots", "15"], ["--delays", "20,60", "--fit"],
+                 ["--delays", "20", "--shots", "32", "--fit"]):
         out = tmp_path / "r.csv"
         assert run("ramsey", *args, "-o", str(out)) == 2, args
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, args
         assert not out.exists()
+
+
+def test_ramsey_flat_contrast_fit_warns_exit_1(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    assert run("ramsey", "--noise", "none", "--delays", "20,60,120",
+               "--shots", "32", "--fit", "-o", str(out)) == 1
+    assert "warning: Ramsey fit failed" in capsys.readouterr().err
+    assert out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -362,6 +362,19 @@ def test_dataset_validation_n1_n0():
                     seed=0, n2=np.full(256, 4.0), n1=np.full(255, 3.0))
 
 
+@pytest.mark.parametrize("name", ["n1", "n0"])
+def test_dataset_with_one_of_n1_n0_caps_the_sum(name):
+    proc = ProcessSpec.identity()
+    plan = plan_for_process(proc, shots=10)
+    ShotDataset(plan=plan, noise=NoiseModel.none(), process=proc, seed=0,
+                n2=np.full(256, 2.0), **{name: np.full(256, 8.0)})
+    n2 = np.full(256, 2.0)
+    n2[17] = 8.0
+    with pytest.raises(ValidationError, match="at most shots"):
+        ShotDataset(plan=plan, noise=NoiseModel.none(), process=proc, seed=0,
+                    n2=n2, **{name: np.full(256, 8.0)})
+
+
 def test_dataset_json_roundtrip(tmp_path):
     proc = ProcessSpec.delay()
     plan = plan_for_process(proc, shots=25)

@@ -114,6 +114,15 @@ def test_process_matrix_validation():
     ProcessMatrix(bad, validate=False)  # parse-only path accepts it
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_process_matrix_rejects_non_finite_entries(value):
+    chi = identity_chi().chi.copy()
+    chi[3, 3] = value
+    for validate in (True, False):
+        with pytest.raises(ValidationError, match="non-finite"):
+            ProcessMatrix(chi, validate=validate)
+
+
 def test_apply_process_matches_conjugation():
     u = ms_unitary()
     chi = unitary_to_chi(u)
