@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 _XX = two_qubit_pauli_basis()[5]
-_KET_SS = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+_RHO_SS = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)  # |SS><SS|
 _MAX_DIM = 4096  # largest Fock truncation of the motional mode
 _FIRST_ROUND_NFEV, _MAX_NFEV = 20, 80  # heating fit: first round, leader's total
 _MAX_OCCUPATION = 50.0  # heating fit: upper bound of n_th and n_coh
@@ -75,16 +75,19 @@ class ParityScan:
     p_amp: float
 
 
-def _output_populations(chi: ProcessMatrix, analysis_phase: float | None
-                        ) -> tuple[float, float, float]:
-    rho = apply_process(chi, np.outer(_KET_SS, _KET_SS.conj()))
+def _state_populations(rho: np.ndarray, analysis_phase: float | None
+                       ) -> tuple[float, float, float]:
+    """(p2, p1, p0) of the output state ``rho`` after the common pi/2
+    analysis pulse (none for ``None``), clipped into [0, 1] against the
+    round-off that a validated chi allows."""
     if analysis_phase is not None:
         r = rotation_unitary(math.pi / 2, analysis_phase)
         u = np.kron(r, r)
         rho = u @ rho @ u.conj().T
     p2 = float(rho[0, 0].real)
     p0 = float(rho[3, 3].real)
-    return p2, max(0.0, 1.0 - p2 - p0), p0
+    q2, q1, q0 = np.clip([p2, max(0.0, 1.0 - p2 - p0), p0], 0.0, 1.0)
+    return float(q2), float(q1), float(q0)
 
 
 def simulate_parity_scan(chi: ProcessMatrix, shots: int = 0,
@@ -93,26 +96,21 @@ def simulate_parity_scan(chi: ProcessMatrix, shots: int = 0,
 
     The analysis phase takes 24 equally spaced values in [0, 2 pi).  With
     ``shots`` > 0 each phase point is multinomially sampled with shots/24
-    repetitions, from populations clipped into [0, 1] against round-off;
-    shots = 0 returns exact populations.  The amplitude is a
-    least-squares fit of a*sin(2 phi) + b*cos(2 phi) + c.
+    repetitions; shots = 0 returns the populations themselves.  The
+    amplitude is a least-squares fit of a*sin(2 phi) + b*cos(2 phi) + c.
     """
     phases = np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False)
     if shots < 0 or 0 < shots < len(phases):
         raise ValidationError(f"parity scan shots must be 0 (exact) or at "
                               f"least {len(phases)}, got {shots}")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    p2 = np.empty_like(phases)
-    p1 = np.empty_like(phases)
-    p0 = np.empty_like(phases)
-    per_point = shots // len(phases) if shots else 0
-    for i, phi in enumerate(phases):
-        q2, q1, q0 = _output_populations(chi, float(phi))
-        if per_point:
-            counts = rng.multinomial(per_point, np.clip([q2, q1, q0], 0, 1))
-            p2[i], p1[i], p0[i] = counts / per_point
-        else:
-            p2[i], p1[i], p0[i] = q2, q1, q0
+    rho = apply_process(chi, _RHO_SS)
+    pops = np.array([_state_populations(rho, float(phi)) for phi in phases])
+    per_point = shots // len(phases)
+    if per_point:
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        pops = np.array([rng.multinomial(per_point, q) for q in pops]
+                        ) / per_point
+    p2, p1, p0 = pops.T
     parity = p2 + p0 - p1
     design = np.column_stack([np.sin(2 * phases), np.cos(2 * phases),
                               np.ones_like(phases)])
@@ -126,10 +124,10 @@ def bell_populations(chi: ProcessMatrix, shots: int = 0,
     """(p0, p2) of the gate output with no analysis pulse, optionally sampled."""
     if shots < 0:
         raise ValidationError(f"shots must be >= 0, got {shots}")
-    q2, q1, q0 = _output_populations(chi, None)
+    q2, q1, q0 = _state_populations(apply_process(chi, _RHO_SS), None)
     if shots:
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        counts = rng.multinomial(shots, np.clip([q2, q1, q0], 0, 1))
+        counts = rng.multinomial(shots, [q2, q1, q0])
         return counts[2] / shots, counts[0] / shots
     return q0, q2
 

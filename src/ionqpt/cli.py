@@ -161,8 +161,8 @@ def cmd_reconstruct(args) -> int:
             "physical": li.physical,
         }
         if not li.physical:
-            print(f"note: inversion result is unphysical "
-                  f"(min eigenvalue {li.min_eigenvalue:.3e})", file=sys.stderr)
+            print("note: inversion result is unphysical: "
+                  + "; ".join(li.failures()), file=sys.stderr)
     save_chi(args.output, chi)
     atomic_write_text(sidecar, json.dumps(diag, indent=2))
     print(f"wrote {args.output} and {sidecar}")
@@ -210,7 +210,7 @@ def cmd_report(args) -> int:
 
 def cmd_bell(args) -> int:
     if args.chi is not None:
-        # Sampling the scan needs populations in [0, 1]: a physical chi.
+        # The Bell analysis reads the output state: the chi must be CPTP.
         chi = _read("chi file", args.chi, load_chi)
         source = {"chi": args.chi}
     else:

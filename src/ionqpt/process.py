@@ -8,7 +8,8 @@ Pauli-product basis P_0..P_15 (II, IX, ... ZZ), acting as
 With this convention a unitary U = sum_m c_m P_m (c_m = Tr(P_m U)/4) has
 chi[m, n] = conj(c_m) * c_n, so the ideal Molmer-Sorensen propagator
 exp(-i pi/4 X1X2) carries chi[II,II] = chi[XX,XX] = 1/2, chi[XX,II] = i/2 and
-chi[II,XX] = -i/2.  Trace preservation is equivalent to Tr(chi) = 1.
+chi[II,XX] = -i/2.  A trace-preserving map has Tr(chi) = 1, but unit trace
+alone does not make a map trace preserving.
 
 The Choi matrix J is the one other form of a map, ordered input (x) output:
 J = sum_ij |i><j| (x) E(|i><j|), so probabilities are Tr[J (rho^T (x) M)],
@@ -67,10 +68,10 @@ CHI_CONVENTION = "unnormalized-pauli-trace-one"
 class ProcessMatrix:
     """A 16x16 chi matrix in the two-qubit Pauli-product basis.
 
-    Entries are finite.  Validated instances are Hermitian (1e-10), PSD down
-    to -1e-8 on the minimum eigenvalue, and have unit trace (1e-8).  Pass
-    ``validate=False`` for possibly-unphysical matrices (e.g. raw linear
-    inversion output).
+    Entries are finite.  Validated instances are CPTP by the one rule of
+    ``CptpDiagnostics``: Hermitian to 1e-10, PSD to -1e-8, unit trace and
+    trace preserving to 1e-8.  Pass ``validate=False`` for possibly-unphysical
+    matrices (e.g. raw linear inversion output).
     """
 
     __slots__ = ("chi",)
@@ -81,18 +82,10 @@ class ProcessMatrix:
             raise ValidationError(f"chi must be 16x16, got {chi.shape}")
         if not np.all(np.isfinite(chi)):
             raise ValidationError("chi has non-finite entries")
-        if validate:
-            require_hermitian(chi, HERMITICITY_TOL, name="chi")
-            min_eig = float(np.linalg.eigvalsh(0.5 * (chi + chi.conj().T))[0])
-            if min_eig < -PSD_EIGENVALUE_TOL:
-                raise ValidationError(
-                    f"chi has negative eigenvalue {min_eig:.3e}")
-            tr_dev = abs(chi.trace() - 1.0)
-            if tr_dev > TRACE_TOL:
-                raise ValidationError(
-                    f"chi trace deviates from 1 by {tr_dev:.3e}")
         chi.setflags(write=False)
         self.chi = chi
+        if validate:
+            validate_cptp(self).require()
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"ProcessMatrix(trace={self.chi.trace():.6f})"
@@ -100,17 +93,35 @@ class ProcessMatrix:
 
 @dataclass(frozen=True)
 class CptpDiagnostics:
+    """The package's one physicality rule: chi is Hermitian to
+    ``HERMITICITY_TOL`` (1e-10), PSD down to -``PSD_EIGENVALUE_TOL`` (-1e-8)
+    on the minimum eigenvalue, and has unit trace and Tr_out J = I to
+    ``TRACE_TOL`` (1e-8)."""
+
     min_eigenvalue: float
     hermiticity_deviation: float
     trace_deviation: float
     tp_residual: float
 
+    def failures(self) -> list[str]:
+        """Each condition of the rule that fails, with its figure."""
+        checks = (
+            ("Hermiticity deviation", self.hermiticity_deviation,
+             HERMITICITY_TOL),
+            ("PSD: -min eigenvalue", -self.min_eigenvalue, PSD_EIGENVALUE_TOL),
+            ("unit trace deviation", self.trace_deviation, TRACE_TOL),
+            ("trace preservation (TP) residual", self.tp_residual, TRACE_TOL))
+        return [f"{name} {value:.3e} > {tol:g}"
+                for name, value, tol in checks if value > tol]
+
     def is_physical(self) -> bool:
-        """PSD to -1e-8; Hermitian, unit trace and TP to 1e-6."""
-        return (self.min_eigenvalue >= -PSD_EIGENVALUE_TOL
-                and self.hermiticity_deviation <= 1e-6
-                and self.trace_deviation <= 1e-6
-                and self.tp_residual <= 1e-6)
+        return not self.failures()
+
+    def require(self) -> None:
+        """Raise one ValidationError naming every failed condition."""
+        failed = self.failures()
+        if failed:
+            raise ValidationError("chi is not CPTP: " + "; ".join(failed))
 
 
 def identity_chi() -> ProcessMatrix:

@@ -29,8 +29,8 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .process import ProcessMatrix, chi_to_choi
-from .qmath import ValidationError, hermiticity_deviation
+from .process import ProcessMatrix, chi_to_choi, validate_cptp
+from .qmath import ValidationError
 
 __all__ = [
     "RotationSetting",
@@ -170,11 +170,6 @@ def meas_operator(pair: tuple[RotationSetting, RotationSetting]) -> np.ndarray:
     return np.outer(phi, phi.conj())
 
 
-# Predicted probabilities may leave [0, 1] by this much before the chi counts
-# as not CPTP; within it they are clipped.
-_BOUNDARY_TOL = 1e-10
-
-
 @functools.cache
 def design_factors() -> tuple[np.ndarray, np.ndarray]:
     """The read-only 16x16 factors A and B of the forward model.
@@ -217,18 +212,10 @@ def invert_p2(p: np.ndarray) -> np.ndarray:
 # same sequences.  They take one because tests/test_acceptance.py (kept
 # unchanged) passes one.
 def predict_p2(chi: ProcessMatrix, plan: ExperimentPlan) -> np.ndarray:
-    """Predicted both-bright probability of every sequence, in order k."""
-    # A non-Hermitian chi gives complex probabilities, whose imaginary part
-    # forward_p2 would drop.
-    if hermiticity_deviation(chi.chi) > 1e-8:
-        raise ValidationError("forward model produced complex probabilities; "
-                              "chi violates Hermiticity")
-    p = forward_p2(chi_to_choi(chi.chi))
-    if p.min() < -_BOUNDARY_TOL or p.max() > 1.0 + _BOUNDARY_TOL:
-        raise ValidationError(
-            f"probability outside [0,1]: range [{p.min():.3e}, {p.max():.3e}]; "
-            "chi is not CPTP")
-    return np.clip(p, 0.0, 1.0)
+    """Predicted both-bright probability of every sequence, in order k, of
+    a chi that passes ``validate_cptp``; clipped into [0, 1]."""
+    validate_cptp(chi).require()
+    return np.clip(forward_p2(chi_to_choi(chi.chi)), 0.0, 1.0)
 
 
 def design_rank(plan: ExperimentPlan) -> int:

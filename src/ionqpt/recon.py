@@ -2,7 +2,7 @@
 
 ``linear_inversion`` solves for the one Choi matrix that reproduces the
 frequencies exactly (``protocol.invert_p2``); it is fast but can return
-unphysical (non-PSD) matrices when the data are noisy.
+unphysical (non-PSD, non-TP) matrices when the data are noisy.
 ``mle_reconstruct`` maximizes the per-sequence binomial likelihood of the
 both-bright counts over CPTP maps, parameterized by the Choi matrix J, with
 the diluted fixed-point iteration of Jezek, Fiurasek & Hradil, PRA 68, 012305
@@ -37,15 +37,17 @@ import numpy as np
 
 from .ionsim import ShotDataset
 from .process import (
+    CptpDiagnostics,
     ProcessMatrix,
     _partial_trace_out,
     choi_to_chi,
     process_fidelity,
     project_to_physical,
     unitary_to_chi,
+    validate_cptp,
 )
 from .protocol import adjoint_p2, design_factors, forward_p2, invert_p2
-from .qmath import PSD_EIGENVALUE_TOL, ValidationError
+from .qmath import ValidationError
 
 __all__ = [
     "MAX_ITERATIONS",
@@ -84,13 +86,12 @@ class MleResult:
 
 
 @dataclass(frozen=True)
-class LinearInversionDiagnostics:
-    min_eigenvalue: float
-    raw_trace: float
+class LinearInversionDiagnostics(CptpDiagnostics):
+    """The CPTP diagnostics of the inversion chi, and the trace it had
+    before normalization."""
 
-    @property
-    def physical(self) -> bool:
-        return self.min_eigenvalue >= -PSD_EIGENVALUE_TOL
+    raw_trace: float
+    physical = property(CptpDiagnostics.is_physical)
 
 
 @dataclass
@@ -106,7 +107,7 @@ class BootstrapReport:
 def linear_inversion(dataset: ShotDataset
                      ) -> tuple[ProcessMatrix, LinearInversionDiagnostics]:
     """chi by exact linear inversion of the frequencies; Hermitian and
-    trace-normalized but not necessarily PSD."""
+    trace-normalized but not necessarily PSD or trace preserving."""
     j = invert_p2(dataset.frequencies)
     chi = choi_to_chi(0.5 * (j + j.conj().T))
     raw_trace = float(chi.trace().real)
@@ -115,11 +116,9 @@ def linear_inversion(dataset: ShotDataset
     if raw_trace <= 1e-12:
         raise ValidationError("linear inversion has zero trace: no both-"
                               "bright counts where only I and X_pi are used")
-    chi = chi / raw_trace
-    min_eig = float(np.linalg.eigvalsh(0.5 * (chi + chi.conj().T))[0])
-    return (ProcessMatrix(chi, validate=False),
-            LinearInversionDiagnostics(min_eigenvalue=min_eig,
-                                       raw_trace=raw_trace))
+    chi = ProcessMatrix(chi / raw_trace, validate=False)
+    return chi, LinearInversionDiagnostics(**vars(validate_cptp(chi)),
+                                           raw_trace=raw_trace)
 
 
 _EYE4 = np.eye(4)

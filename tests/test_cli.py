@@ -5,13 +5,20 @@ import numpy as np
 import pytest
 
 from ionqpt.cli import main
-from ionqpt.ionsim import NoiseModel, ShotDataset
+from ionqpt.ionsim import (
+    NoiseModel,
+    ProcessSpec,
+    ShotDataset,
+    dataset_from_probabilities,
+    plan_for_process,
+)
 from ionqpt.process import (
     chi_to_json_dict,
     load_chi,
     save_chi,
     unitary_to_chi,
 )
+from ionqpt.protocol import forward_p2
 from ionqpt.qmath import matrix_exponential, two_qubit_pauli_basis
 
 _XX = two_qubit_pauli_basis()[5]
@@ -416,6 +423,26 @@ def test_report_chi_not_a_mapping_exit_2(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_reconstruct_inversion_of_trace_decreasing_map_is_unphysical(
+        tmp_path, capsys):
+    # The exact data of K = diag(1, 1/2, 1/2, 1/2): the inversion is PSD
+    # and normalized to unit trace, but not trace preserving.
+    k = np.diag([1.0, 0.5, 0.5, 0.5]).astype(complex)
+    v = k.T.reshape(16)  # J[(i, a), (j, b)] = K[a, i] conj(K[b, j])
+    process = ProcessSpec.identity()
+    plan = plan_for_process(process, shots=100)
+    path = str(tmp_path / "ds.json")
+    dataset_from_probabilities(plan, forward_p2(np.outer(v, v.conj())),
+                               process).save(path)
+    out = str(tmp_path / "chi.json")
+    assert run("reconstruct", path, "--method", "inversion", "-o", out) == 0
+    diag = json.load(open(out + ".diagnostics.json"))
+    assert diag["physical"] is False
+    assert diag["min_eigenvalue"] > -1e-8
+    err = capsys.readouterr().err
+    assert err.startswith("note: ") and "(TP)" in err
+
+
 def test_report_on_unphysical_inversion_chi(small_dataset, tmp_path):
     chi_path = str(tmp_path / "chi.json")
     assert run("reconstruct", small_dataset, "--method", "inversion",
@@ -474,6 +501,38 @@ def test_bell_rejects_non_finite_or_unphysical_chi(unphysical_chi, tmp_path,
                "-o", str(out)) == 2
     assert _assert_one_error_line(capsys)[0] == ""
     assert not out.exists()
+
+
+def _kraus_chi(k):
+    """chi of the one-Kraus map rho -> K rho K^dag, unvalidated."""
+    c = np.einsum("mab,ba->m", two_qubit_pauli_basis(), k) / 4.0
+    return np.outer(c.conj(), c)
+
+
+@pytest.mark.parametrize("shots", ["10000", "0"])
+def test_bell_rejects_chi_that_is_not_trace_preserving(tmp_path, capsys,
+                                                       shots):
+    # K = 2|00><00| has unit trace and is CP, with Tr_out J - I up to 3.
+    chi_path = str(tmp_path / "chi.json")
+    save_chi(chi_path, _kraus_chi(np.diag([2.0, 0.0, 0.0, 0.0])))
+    out = tmp_path / "bell.json"
+    assert run("bell", "--chi", chi_path, "--shots", shots,
+               "-o", str(out)) == 2
+    out_text, err = _assert_one_error_line(capsys)
+    assert out_text == "" and "trace preservation" in err
+    assert not out.exists()
+
+
+def test_bell_exact_on_round_off_populations(tmp_path):
+    # Physical to the rule (min eigenvalue -5e-9), and it sends |SS> to
+    # population 1 + 5e-9 there and -5e-9 in |DD>.
+    chi = np.zeros((16, 16), dtype=complex)
+    chi[0, 0], chi[5, 5] = 1.0 + 5e-9, -5e-9
+    chi_path = str(tmp_path / "chi.json")
+    save_chi(chi_path, chi)
+    out = str(tmp_path / "bell.json")
+    assert run("bell", "--chi", chi_path, "--shots", "0", "-o", out) == 0
+    assert json.load(open(out))["populations"] == {"p0": 0.0, "p2": 1.0}
 
 
 def test_bell_rejects_non_entangling(tmp_path):

@@ -22,7 +22,15 @@ from ionqpt.process import (
     unitary_to_chi,
     validate_cptp,
 )
-from ionqpt.qmath import ValidationError, matrix_exponential, two_qubit_pauli_basis
+from ionqpt.protocol import build_plan, predict_p2
+from ionqpt.qmath import (
+    HERMITICITY_TOL,
+    PSD_EIGENVALUE_TOL,
+    TRACE_TOL,
+    ValidationError,
+    matrix_exponential,
+    two_qubit_pauli_basis,
+)
 
 _P = two_qubit_pauli_basis()
 _XX = _P[5]
@@ -46,9 +54,9 @@ def kraus_of_isometry(a):
     return np.linalg.qr(a)[0].reshape(-1, 4, 4)
 
 
-def kraus_to_chi(kraus):
+def kraus_to_chi(kraus, validate=True):
     c = np.einsum("kab,mba->km", kraus, _P) / 4.0  # K_k = sum_m c_km P_m
-    return ProcessMatrix(np.einsum("km,kn->mn", c.conj(), c))
+    return ProcessMatrix(np.einsum("km,kn->mn", c.conj(), c), validate)
 
 
 def random_cptp_chi(seed, rank=4):
@@ -206,6 +214,26 @@ def test_validate_cptp_diagnostics():
             pauli_sum_tp_residual(not_tp), abs=1e-12)
 
 
+def test_process_matrix_rejects_unit_trace_map_that_is_not_tp():
+    # K = 2|00><00|: Tr chi = Tr(K^dag K)/4 = 1, but K^dag K = 4|00><00|.
+    kraus = np.zeros((1, 4, 4), dtype=complex)
+    kraus[0, 0, 0] = 2.0
+    chi = kraus_to_chi(kraus, validate=False)
+    assert chi.chi.trace() == pytest.approx(1.0, abs=1e-12)
+    assert validate_cptp(chi).tp_residual == pytest.approx(3.0, abs=1e-12)
+    with pytest.raises(ValidationError, match="trace preservation"):
+        ProcessMatrix(chi.chi)
+
+
+def test_not_cptp_message_names_every_failed_condition():
+    chi = np.zeros((16, 16), dtype=complex)
+    chi[0, 0], chi[5, 5], chi[0, 1] = 2.0, -0.5, 0.1
+    with pytest.raises(ValidationError) as err:
+        ProcessMatrix(chi)
+    for name in ("Hermiticity", "PSD", "unit trace", "trace preservation"):
+        assert name in str(err.value)
+
+
 def test_chi_choi_round_trip_and_trace():
     chi = unitary_to_chi(ms_unitary())
     choi = chi_to_choi(chi.chi)
@@ -299,3 +327,57 @@ def test_load_chi_parse_only_accepts_unphysical(tmp_path):
         load_chi(path)
     loaded = load_chi(path, validate=False)
     assert loaded.chi[0, 0].real == pytest.approx(1.2)
+
+
+def _perturbed(kraus, kind, scale):
+    """chi of the channel ``kraus`` with one condition of the CPTP rule moved
+    to ``scale`` times its tolerance; the other conditions hold to round-off
+    or to second order in the perturbation."""
+    if kind == "anti-Hermitian":
+        chi = kraus_to_chi(kraus).chi.copy()
+        chi[1, 2] += 0.5j * scale * HERMITICITY_TOL
+        chi[2, 1] += 0.5j * scale * HERMITICITY_TOL
+        return chi
+    if kind == "trace offset":  # also moves Tr_out J by the same amount
+        return (1.0 + scale * TRACE_TOL) * kraus_to_chi(kraus).chi
+    if kind == "non-TP rescaling":  # K_k -> K_k S, S^2 = I + 2 t ZI + t^2
+        t = 0.5 * scale * TRACE_TOL
+        s = np.diag([1.0 + t, 1.0 + t, 1.0 - t, 1.0 - t])
+        return kraus_to_chi(kraus @ s, validate=False).chi
+    # Negative eigenvalue: remove weight t along a null vector v of chi,
+    # whose Kraus operator K_v has K_v^dag K_v = G, and give the channel
+    # input S = I + t G / 2 so that the trace and Tr_out J stay put.
+    t = scale * PSD_EIGENVALUE_TOL
+    v = np.linalg.eigh(kraus_to_chi(kraus).chi)[1][:, 0]
+    k_v = np.einsum("n,nab->ab", v.conj(), _P)
+    s = np.eye(4) + 0.5 * t * (k_v.conj().T @ k_v)
+    return (kraus_to_chi(kraus @ s, validate=False).chi
+            - t * np.outer(v, v.conj()))
+
+
+_CONDITION = {"anti-Hermitian": "Hermiticity", "negative eigenvalue": "PSD",
+              "trace offset": "unit trace",
+              "non-TP rescaling": "trace preservation"}
+
+
+@_PROPERTY
+@given(kraus_channels(), st.sampled_from(sorted(_CONDITION)),
+       st.one_of(st.floats(0.2, 0.8), st.floats(1.25, 5.0)))
+def test_one_rule_decides_process_matrix_and_predict_p2(kraus, kind, scale):
+    chi = _perturbed(kraus, kind, scale)
+    diag = validate_cptp(ProcessMatrix(chi, validate=False))
+    assert diag.is_physical() == (scale < 1.0), diag
+    try:
+        ProcessMatrix(chi)
+    except ValidationError as exc:
+        assert _CONDITION[kind] in str(exc)
+        rejected = True
+    else:
+        rejected = False
+    try:
+        predict_p2(ProcessMatrix(chi, validate=False), build_plan())
+    except ValidationError:
+        p2_rejected = True
+    else:
+        p2_rejected = False
+    assert rejected == p2_rejected == (not diag.is_physical())
