@@ -7,7 +7,8 @@ CPTP-constrained maximum likelihood, and reports the resulting process errors.
 The delay process always comes out worse than the identity: the extra free
 evolution gives the laser phase 120 us more time to wander.
 
-Runtime: about ten seconds (two 128k-shot simulations plus two MLE runs).
+Runtime: about two to three seconds (two 128k-shot simulations plus two MLE
+runs).
 """
 import time
 
@@ -31,7 +32,7 @@ def reconstruct(process, noise):
     t_mle = time.monotonic() - t0
 
     err = 1.0 - process_fidelity(chi, process.ideal_chi())
-    print(f"{process.label:>8}: simulated {SHOTS * 256} shots in {t_sim:.0f}s; "
+    print(f"{process.label:>8}: simulated {SHOTS * 256} shots in {t_sim:.1f}s; "
           f"raw inversion min eigenvalue {inv_diag.min_eigenvalue:+.4f} "
           f"({'unphysical' if not inv_diag.physical else 'physical'})")
     print(f"{'':>8}  MLE stopped on {result.stop_reason} after "

@@ -26,10 +26,11 @@ Datasets are deterministic for a fixed seed under any execution order: shot s
 of sequence k draws from its own stream, numpy's
 PCG64(SeedSequence(seed, spawn_key=(k, s))).  The seed's part of that hash
 is numpy's own SeedSequence(seed).pool; from it the seeding words of all
-shots are derived together in numpy arrays, and each shot's PCG64 state is
-formed from them and set on one reused generator.  On a 2-vCPU x86-64
-machine a dataset costs about 5-6 us per shot at 30 shots and about 5 us at
-500, most of it in that per-shot loop.
+shots are derived together in numpy arrays.  A layout's shots then draw
+together, in uint64 array operations that restate numpy's PCG64 and the
+fast path of its normal sampler; the shots (about one in ten) with a normal
+off that path are drawn again by numpy itself.  On a 2-vCPU x86-64 machine
+a dataset costs about 2 us per shot at 30 shots and 1.5 us at 500.
 """
 from __future__ import annotations
 
@@ -338,6 +339,133 @@ def _shot_streams(seed: int, shots: int) -> np.ndarray:
     return words.view("<u8")
 
 
+# numpy's PCG64 draw (pcg64.h: step the LCG, then output XSL-RR of the new
+# state) and the fast path of Generator.standard_normal's ziggurat
+# (distributions.c), restated on uint64 arrays of state words.
+_MULT_HI = np.uint64(_PCG64_MULT >> 64)
+_MULT_LO = np.uint64(_PCG64_MULT & (2**64 - 1))
+_MULT_LO_0 = np.uint64(_PCG64_MULT & _MASK32)  # the 32-bit halves of _MULT_LO
+_MULT_LO_1 = np.uint64(_PCG64_MULT >> 32 & _MASK32)
+
+
+def _pcg64_state(state: int, inc: int) -> dict:
+    return {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+            "state": {"state": state, "inc": inc}}
+
+
+@functools.cache
+def _ziggurat_tables() -> tuple[np.ndarray, np.ndarray]:
+    """numpy's ziggurat widths (signed) and fast-path bounds, indexed by the
+    low 9 bits of an output: idx, then the sign bit.
+
+    ``wi[idx]`` is read back from numpy, as the normal drawn from the state
+    whose next output is idx with magnitude 1: that state steps to high word
+    0 and low word the output, so it is (output - inc) / MULT mod 2**128.
+    numpy's bound ``ki[idx]`` is floor(2**52 wi[idx - 1] / wi[idx]), with
+    wi[255] / wi[0] for the base strip idx 0 and 0 for idx 1; each is
+    lowered by 64, so that round-off never lifts it above numpy's.
+    """
+    rng = np.random.Generator(np.random.PCG64())
+    inverse = pow(_PCG64_MULT, -1, 1 << 128)
+    wi = np.empty(256)
+    for idx in range(256):
+        rng.bit_generator.state = _pcg64_state(
+            ((1 << 9 | idx) - 1) * inverse & _MASK128, 1)
+        wi[idx] = rng.standard_normal()
+    ratio = np.concatenate([[wi[255] / wi[0], 0.0], wi[1:-1] / wi[2:]])
+    ki = np.maximum(np.floor(ratio * 2.0**52) - 64, 0).astype(np.uint64)
+    return np.concatenate([wi, -wi]), np.tile(ki, 2)
+
+
+def _stream_draws(words: np.ndarray, rows: np.ndarray, n_normals: int,
+                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """``n_normals`` standard normals, then one uniform, from each PCG64
+    stream seeded with ``words[rows]``, bit for bit as numpy draws them:
+    arrays ``(len(rows), shots, n_normals)`` and ``(len(rows), shots)``.
+
+    The 128-bit states and increments are held as high and low uint64 words
+    over the (row, shot) grid and stepped once per draw; the high word of a
+    product comes from 32-bit partial products.  A normal is read as
+    numpy's ziggurat reads it, and a uniform is (output >> 11) 2**-53.  A
+    stream with a normal off the fast path is replayed by ``rng``, set to
+    its state: the only per-stream Python.
+    """
+    wi, ki = _ziggurat_tables()
+    shape = (len(rows), words.shape[1])
+    z, u = np.empty(shape + (n_normals,)), np.empty(shape)
+    a, b, c, d = (np.empty(shape, dtype=np.uint64) for _ in range(4))
+    width, carry = np.empty(shape), np.empty(shape, dtype=bool)
+    fast = np.ones(shape, dtype=bool)
+    # Seeding: inc = 2 i + 1, state = (words' state + inc) stepped once.
+    hi, lo, inc_hi, inc_lo = (words[rows, :, i] for i in range(4))
+    inc_hi <<= 1
+    np.right_shift(inc_lo, 63, out=a)
+    inc_hi |= a
+    inc_lo <<= 1
+    inc_lo |= 1
+    lo += inc_lo
+    hi += inc_hi
+    np.less(lo, inc_lo, out=carry)
+    hi += carry.view(np.uint8)
+    for j in range(-1, n_normals + 1):
+        # b = the high word of lo MULT_LO (Hacker's Delight, mulhu)
+        np.bitwise_and(lo, _MASK32, out=a)
+        np.right_shift(lo, 32, out=b)
+        np.multiply(a, _MULT_LO_0, out=c)
+        c >>= 32
+        np.multiply(b, _MULT_LO_0, out=d)
+        d += c
+        a *= _MULT_LO_1
+        np.bitwise_and(d, _MASK32, out=c)
+        c += a
+        b *= _MULT_LO_1
+        d >>= 32
+        c >>= 32
+        b += d
+        b += c
+        # state = state MULT + inc mod 2**128
+        hi *= _MULT_LO
+        np.multiply(lo, _MULT_HI, out=a)
+        hi += a
+        hi += b
+        hi += inc_hi
+        lo *= _MULT_LO
+        lo += inc_lo
+        np.less(lo, inc_lo, out=carry)
+        hi += carry.view(np.uint8)
+        if j < 0:
+            continue  # the seeding step
+        # a = (hi ^ lo) rotated right by hi >> 58; numpy shifts by 64 to 0
+        np.bitwise_xor(hi, lo, out=a)
+        np.right_shift(hi, 58, out=d)
+        np.right_shift(a, d, out=c)
+        np.subtract(64, d, out=d)
+        a <<= d
+        a |= c
+        if j == n_normals:
+            a >>= 11
+            np.multiply(a, 2.0**-53, out=u)
+            break
+        np.bitwise_and(a, 0x1FF, out=b)
+        np.take(wi, b, out=width, mode="clip")
+        np.take(ki, b, out=c, mode="clip")
+        a >>= 9
+        a &= 2**52 - 1
+        np.multiply(a, width, out=z[:, :, j])
+        np.less(a, c, out=carry)
+        fast &= carry
+    slow_r, slow_s = np.nonzero(~fast)
+    for r, s, (s_hi, s_lo, i_hi, i_lo) in zip(
+            slow_r.tolist(), slow_s.tolist(),
+            words[rows[slow_r], slow_s].tolist()):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        rng.bit_generator.state = _pcg64_state(
+            ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128, inc)
+        rng.standard_normal(out=z[r, s])
+        u[r, s] = rng.random()
+    return z, u
+
+
 def _layout_draws(lay: _Layout, plan: ExperimentPlan, noise: NoiseModel,
                   words: np.ndarray, rng: np.random.Generator
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -346,13 +474,11 @@ def _layout_draws(lay: _Layout, plan: ExperimentPlan, noise: NoiseModel,
 
     Shot ``s`` of sequence ``k`` draws from its own stream, numpy's
     ``PCG64(SeedSequence(seed, spawn_key=(k, s)))``, whose seeding words are
-    ``words[k, s]`` (``_shot_streams``).  One loop forms the PCG64 state of
-    each shot of the layout from those words, sets it on the bit generator
-    of ``rng``, which is reused for every layout of a dataset, and draws
-    first ``n_events + 1`` standard normals (the fast frequency offset, then
-    one phase-diffusion increment per event), then one uniform readout draw.
-    That loop is most of a dataset's cost: about 5-6 us per shot in all at
-    30 shots and 5 us at 500, on a 2-vCPU x86-64 machine.  The slow drift
+    ``words[k, s]`` (``_shot_streams``): first ``n_events + 1`` standard
+    normals (the fast frequency offset, then one phase-diffusion increment
+    per event), then one uniform readout draw.  ``_stream_draws`` draws
+    them for all shots of the layout at once; ``rng`` replays the few
+    shots that leave the ziggurat's fast path.  The slow drift
     contribution is evaluated at the sequence start time and is therefore
     constant across all shots of a sequence; the fast Gaussian offset is
     redrawn per shot.  Phase-diffusion increments scale with the square
@@ -363,24 +489,9 @@ def _layout_draws(lay: _Layout, plan: ExperimentPlan, noise: NoiseModel,
     layout's ``n`` sequences; ``phase_offsets`` is the accrued laser-phase
     deviation (rad) at each event.
     """
-    shots = words.shape[1]
-    bg = rng.bit_generator
-    # One state dict, refilled per shot: the setter copies the values out.
-    stream = {"state": 0, "inc": 0}
-    bg_state = {"bit_generator": "PCG64", "state": stream,
-                "has_uint32": 0, "uinteger": 0}
     # z[:, :, 0] is the frequency draw; z[:, :, 1:] becomes the phase walk.
-    z = np.empty((len(lay.seqs), shots, lay.times_us.shape[1] + 1))
-    readout = np.empty((len(lay.seqs), shots))
-    for k, z_k, readout_k in zip(lay.seqs.tolist(), z, readout):
-        for s, (s_hi, s_lo, i_hi, i_lo) in enumerate(words[k].tolist()):
-            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-            stream["state"] = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT
-                               + inc) & _MASK128
-            stream["inc"] = inc
-            bg.state = bg_state
-            rng.standard_normal(out=z_k[s])
-            readout_k[s] = rng.random()
+    z, readout = _stream_draws(words, lay.seqs, lay.times_us.shape[1] + 1,
+                               rng)
     t_min = plan.start_time_s(lay.seqs) / 60.0
     freq = (noise.drift_hz_per_min * t_min[:, None]
             + noise.fast_freq_gaussian_sigma_hz * z[:, :, 0])
@@ -549,9 +660,11 @@ def generate_dataset(plan: ExperimentPlan, process: ProcessSpec,
 
     One loop over the event layouts of ``_shot_schedule`` draws a layout's
     shots (``_layout_draws``), propagates them (``_sequence_probabilities``)
-    and counts them before the next layout is drawn.  A shot reads 2 bright
-    ions when its readout draw u < p2, 1 when u < p2 + p1 with
-    p1 = max(0, 1 - p2 - p0), and 0 otherwise.
+    and counts them before the next layout is drawn; at 500 shots the
+    draws are about 40% of the time, two thirds of that in the replays of
+    shots off the ziggurat's fast path.  A shot reads 2 bright ions when
+    its readout draw u < p2, 1 when u < p2 + p1 with p1 = max(0, 1 - p2 -
+    p0), and 0 otherwise.
     """
     seed = operator.index(seed)
     if seed < 0:

@@ -22,6 +22,8 @@ from ionqpt.ionsim import (
     _sequence_probabilities,
     _shot_schedule,
     _shot_streams,
+    _stream_draws,
+    _ziggurat_tables,
 )
 from ionqpt.protocol import (
     RotationSetting,
@@ -225,6 +227,133 @@ def test_shot_streams_match_numpy_seedsequence(n_words):
                     seed, spawn_key=(k, s)).generate_state(4, np.uint64)
                 np.testing.assert_array_equal(words[k, s], ref,
                                               err_msg=str((seed, k, s)))
+
+
+class _Words(np.random.bit_generator.ISpawnableSeedSequence):
+    """Hands fixed seeding words to numpy's own PCG64 seeding."""
+
+    def __init__(self, words):
+        self.words = np.array(words, dtype=np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        assert (n_words, dtype) == (4, np.uint64)
+        return self.words
+
+    def spawn(self, n_children):
+        raise NotImplementedError
+
+
+_MULT = ionsim._PCG64_MULT
+_MULT_INV = pow(_MULT, -1, 1 << 128)
+_M128 = (1 << 128) - 1
+
+
+def _crafted_words(output, draw, inc):
+    """Seeding words of a stream whose draw ``draw`` (0 = first) outputs
+    ``output``: the state after that draw's step has high word 0 and low
+    word ``output``, and each step back is (state - inc) / MULT."""
+    state = output
+    for _ in range(draw + 2):  # the draws, then seeding's second step
+        state = (state - inc) * _MULT_INV & _M128
+    seed = (state - inc) & _M128  # seeding steps 0 to inc, then adds seed
+    i = inc >> 1
+    return [seed >> 64, seed & 2**64 - 1, i >> 64, i & 2**64 - 1]
+
+
+def _numpy_draws(words, n_normals):
+    rng = np.random.Generator(np.random.PCG64(_Words(words)))
+    return rng.standard_normal(n_normals), rng.random()
+
+
+def _outputs_drawn(output, inc=1):
+    """(standard normal, outputs consumed) of numpy's generator whose next
+    output is ``output``."""
+    bg = np.random.PCG64()
+    bg.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                "state": {"state": (output - inc) * _MULT_INV & _M128,
+                          "inc": inc}}
+    x = np.random.Generator(bg).standard_normal()
+    state = output
+    for consumed in range(1, 100):
+        if state == bg.state["state"]["state"]:
+            return x, consumed
+        state = (state * _MULT + inc) & _M128
+    raise AssertionError("numpy drew 100 or more outputs for one normal")
+
+
+@pytest.mark.parametrize("shots", [1, 7, 30])
+def test_stream_draws_match_numpy(shots):
+    rng = np.random.default_rng(shots)
+    n_normals = 9
+    words = rng.integers(0, 2**64, size=(5, shots, 4), dtype=np.uint64)
+    rows = np.array([3, 0, 4])
+    _, ki = _ziggurat_tables()
+    # Normals off the fast path, numpy's or this table's, at (row, shot,
+    # draw): the tail (idx 0), idx 1 (always off), a magnitude at the
+    # table's bound and one just below it.
+    crafted = [
+        (3, 0, 0, (2**52 - 1) << 9 | 0),
+        (0, shots - 1, 3, 12345 << 9 | 1),
+        (4, shots // 2, 5, int(ki[100]) << 9 | 1 << 8 | 100),
+        (3, shots - 1, n_normals - 1, int(ki[200] - 1) << 9 | 200),
+    ]
+    for row, shot, draw, output in crafted:
+        inc = int(rng.integers(0, 2**62)) << 66 | 2 * draw + 1
+        words[row, shot] = _crafted_words(output, draw, inc)
+    tail, consumed = _outputs_drawn(crafted[0][3])
+    assert consumed > 1 and abs(tail) > 3.6
+    assert _outputs_drawn(crafted[1][3])[1] > 1
+    z, u = _stream_draws(words, rows, n_normals,
+                         np.random.Generator(np.random.PCG64()))
+    assert z.shape == (3, shots, n_normals) and u.shape == (3, shots)
+    for r, k in enumerate(rows):
+        for s in range(shots):
+            ref_z, ref_u = _numpy_draws(words[k, s], n_normals)
+            np.testing.assert_array_equal(z[r, s], ref_z, err_msg=str((k, s)))
+            assert u[r, s] == ref_u, (k, s)
+    for row, shot, draw, output in crafted:
+        # the crafted draw is where it was meant to be
+        x = _outputs_drawn(output)[0]
+        if output & 0xFF > 1:
+            assert z[list(rows).index(row), shot, draw] == x
+
+
+def test_ziggurat_tables_match_numpy():
+    wi, ki = _ziggurat_tables()
+    assert wi.shape == ki.shape == (512,)
+    np.testing.assert_array_equal(wi[256:], -wi[:256])
+    np.testing.assert_array_equal(ki[256:], ki[:256])
+    # idx 1 never takes the fast path, so its width is never used
+    assert ki[1] == 0 and np.all(np.delete(ki[:256], 1) > 2**51)
+    rng = np.random.default_rng(29)
+    for idx in range(256):
+        if idx == 1:
+            continue
+        bound = int(ki[idx])
+        # Every width is numpy's fast-path output, and every bound is at
+        # most numpy's: a magnitude just below it uses one output.
+        for rabs in (1, int(rng.integers(1, bound)), bound - 1):
+            for sign in (0, 1):
+                x, consumed = _outputs_drawn(rabs << 9 | sign << 8 | idx)
+                assert consumed == 1, (idx, rabs)
+                assert x == rabs * wi[sign << 8 | idx], (idx, rabs, sign)
+
+
+def test_dataset_peak_memory_is_bounded():
+    # One 500-shot paper-noise identity dataset peaked at 13.8 MB with the
+    # per-shot draw loop; the array draws must hold no further per-shot copy.
+    import tracemalloc
+
+    proc = ProcessSpec.identity()
+    plan = plan_for_process(proc, shots=500)
+    generate_dataset(plan, proc, NoiseModel.paper_study(), 0)  # warm caches
+    tracemalloc.start()
+    try:
+        generate_dataset(plan, proc, NoiseModel.paper_study(), 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 14.5e6
 
 
 def _reference_shot_unitary(lay, r, offsets):
@@ -437,8 +566,9 @@ def test_simulate_ramsey_rejects_nonpositive_delay():
 
 
 # SHA-256 of the float64 bytes of (n2, n1, n0): the datasets must not change.
-# The rows at 30 and more shots were frozen from the per-shot simulator, the
-# rows at 1 and 7 shots from the per-sequence one.
+# The rows at 30 to 50 shots were frozen from the per-shot simulator, the
+# rows at 1 and 7 shots from the per-sequence one, and the 500-shot row from
+# the per-shot draw loop before the draws became array operations.
 GOLDEN_DATASETS = [
     ("ms", "paper", 1, 11,
      "bbbb015861a96f6f5a20a705ab2bddbdf828388ee0f41da6ac1c32dd8e52f6c2"),
@@ -462,6 +592,9 @@ GOLDEN_DATASETS = [
      "8f7b2e4cf31649a333a986a2642bb8e1779d7e6ff63d1065ba12002d80256848"),
     ("ms", "paper", 20, 2**130 + 1,
      "24a8003dbead6eeea864a89e2138ab8bf5352a0eb814c54417683651d8d7d707"),
+    # The paper's 500 shots per sequence (criterion 3's dataset).
+    ("identity", "paper", 500, 11,
+     "bacaf3b16bced469ee21623967c10e80fc98d0c0916721afac67db3262179c74"),
 ]
 _NOISES = {"paper": NoiseModel.paper_study, "default": NoiseModel,
            "none": NoiseModel.none}
