@@ -30,7 +30,7 @@ shots are derived together in numpy arrays.  A layout's shots then draw
 together, in uint64 array operations that restate numpy's PCG64 and the
 fast path of its normal sampler; the shots (about one in ten) with a normal
 off that path are drawn again by numpy itself.  On a 2-vCPU x86-64 machine
-a dataset costs about 2 us per shot at 30 shots and 1.5 us at 500.
+a dataset costs about 2 us per shot at 30 shots and 1.2-1.5 us at 500.
 """
 from __future__ import annotations
 
@@ -677,7 +677,7 @@ def generate_dataset(plan: ExperimentPlan, process: ProcessSpec,
                      n1=np.zeros(plan.n_sequences),
                      n0=np.full(plan.n_sequences, float(shots)))
     words = _shot_streams(seed, shots)
-    rng = np.random.Generator(np.random.PCG64())  # state set before each shot
+    rng = np.random.Generator(np.random.PCG64())  # for the replays
     for lay in _shot_schedule(plan, process, noise):
         _, offsets, u = _layout_draws(lay, plan, noise, words, rng)
         p2, p0 = _sequence_probabilities(lay, offsets)
