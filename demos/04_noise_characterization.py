@@ -11,7 +11,8 @@ Two independent measurements pin down the noise budget of the ion trap:
   displaced-thermal flopping model recovers the thermal and coherent
   occupations, from which the residual thermal gate error follows.
 
-Runtime: about two minutes (the Ramsey scan samples 2 x 10^4 shots per delay).
+Runtime: one to two seconds (the Ramsey scan samples 2 x 10^4 shots per
+delay).
 """
 import math
 

@@ -654,6 +654,14 @@ class ShotDataset:
             return cls.from_json_dict(json.load(fh))
 
 
+def _phase_overflow(noise: NoiseModel) -> ValidationError:
+    """The error for a finite noise model whose laser phase overflows.  The
+    phase grows with the drift times the run length and with the frequency
+    spread times the delay, so whether it overflows depends on the plan."""
+    return ValidationError(f"the laser phase is not finite under noise model "
+                           f"{noise.to_dict()}")
+
+
 def generate_dataset(plan: ExperimentPlan, process: ProcessSpec,
                      noise: NoiseModel, seed: int) -> ShotDataset:
     """Run all sequences and shots of the plan; deterministic for fixed seed.
@@ -664,7 +672,8 @@ def generate_dataset(plan: ExperimentPlan, process: ProcessSpec,
     draws are about 40% of the time, two thirds of that in the replays of
     shots off the ziggurat's fast path.  A shot reads 2 bright ions when
     its readout draw u < p2, 1 when u < p2 + p1 with p1 = max(0, 1 - p2 -
-    p0), and 0 otherwise.
+    p0), and 0 otherwise.  A noise model whose laser phase overflows on
+    this plan raises ``ValidationError``.
     """
     seed = operator.index(seed)
     if seed < 0:
@@ -679,8 +688,12 @@ def generate_dataset(plan: ExperimentPlan, process: ProcessSpec,
     words = _shot_streams(seed, shots)
     rng = np.random.Generator(np.random.PCG64())  # for the replays
     for lay in _shot_schedule(plan, process, noise):
-        _, offsets, u = _layout_draws(lay, plan, noise, words, rng)
-        p2, p0 = _sequence_probabilities(lay, offsets)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, offsets, u = _layout_draws(lay, plan, noise, words, rng)
+            p2, p0 = _sequence_probabilities(lay, offsets)
+        # A phase that overflowed has made its shot's amplitudes NaN.
+        if not (np.isfinite(p2).all() and np.isfinite(p0).all()):
+            raise _phase_overflow(noise)
         p1 = np.maximum(0.0, 1.0 - p2 - p0)
         ds.n2[lay.seqs] = np.count_nonzero(u < p2, axis=1)
         ds.n1[lay.seqs] = np.count_nonzero((u >= p2) & (u < p2 + p1), axis=1)
@@ -722,7 +735,8 @@ def simulate_ramsey(delays_us, noise: NoiseModel, shots: int,
     contributes one point on a fringe scanned over 16 analysis phases; the
     fitted sinusoid amplitude (relative to the 1/2 ideal) is the contrast.
     The per-shot fringe probability is averaged directly, without binary
-    projection noise.
+    projection noise.  A noise model whose phase overflows at a delay raises
+    ``ValidationError``.
     """
     delays_us = np.asarray(delays_us, dtype=float)
     if not np.all(np.isfinite(delays_us) & (delays_us > 0)):
@@ -734,10 +748,13 @@ def simulate_ramsey(delays_us, noise: NoiseModel, shots: int,
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     out = []
     for tau in delays_us:
-        dphi = (2.0 * math.pi * noise.fast_freq_gaussian_sigma_hz * tau * 1e-6
-                * rng.standard_normal(shots)
-                + noise.phase_diffusion_rad_per_sqrt_us * math.sqrt(tau)
-                * rng.standard_normal(shots))
+        with np.errstate(over="ignore", invalid="ignore"):
+            dphi = (2.0 * math.pi * noise.fast_freq_gaussian_sigma_hz * tau
+                    * 1e-6 * rng.standard_normal(shots)
+                    + noise.phase_diffusion_rad_per_sqrt_us * math.sqrt(tau)
+                    * rng.standard_normal(shots))
+        if not np.isfinite(dphi).all():
+            raise _phase_overflow(noise)
         phi_a = phases[np.arange(shots) % len(phases)]
         p = 0.5 * (1.0 + np.cos(phi_a + dphi))
         design = np.column_stack([np.cos(phi_a), np.sin(phi_a),

@@ -226,20 +226,6 @@ def choi_to_chi(choi: np.ndarray) -> np.ndarray:
     return (_V.conj().T @ choi @ _V / 16.0).T
 
 
-def project_to_physical(chi: np.ndarray) -> np.ndarray:
-    """Hermitize, clip negative eigenvalues, renormalize trace to 1.
-
-    Clipping in the eigenbasis gives the closest PSD matrix in Frobenius norm.
-    """
-    chi = np.asarray(chi, dtype=complex)
-    w, v = np.linalg.eigh(0.5 * (chi + chi.conj().T))
-    chi = (v * np.clip(w, 0.0, None)) @ v.conj().T
-    tr = chi.trace().real
-    if tr <= 0:
-        raise ValidationError("chi has nonpositive trace after projection")
-    return chi / tr
-
-
 # ---------------------------------------------------------------------------
 # JSON export/import
 # ---------------------------------------------------------------------------

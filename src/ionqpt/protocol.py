@@ -13,11 +13,13 @@ is a product of 16 preparations and 16 measurements, so as a 16x16 matrix
 P[a, b] the probabilities are P = A Jr B^T (Van Loan, J. Comput. Appl.
 Math. 123, 85 (2000)).  Here Jr is J reshuffled to (in, in') x (out, out'),
 A[a, (i, i')] = rho_a[i, i'] and B[b, (o, o')] = M_b[o', o]; both factors
-(``design_factors``) have rank 16.  Three maps follow, and prediction
-(``predict_p2``), linear inversion and the MLE in ``recon`` read only them:
-``forward_p2`` is P = A Jr B^T, ``adjoint_p2`` is sum_k w_k E_k, the
-reshuffle of A^H W conj(B), and ``invert_p2`` is Jr = A^-1 P B^-T, the one
-J that reproduces P exactly.
+(``design_factors``) have rank 16.  Three maps follow: ``forward_p2`` is
+P = A Jr B^T, ``adjoint_p2`` is sum_k w_k E_k, the reshuffle of
+A^H W conj(B), and ``invert_p2`` is Jr = A^-1 P B^-T, the one J that
+reproduces P exactly.  Prediction (``predict_p2``) and linear inversion read
+only these maps.  The MLE in ``recon`` reads the forward and adjoint maps,
+and A itself for the outcomes other than both-bright, whose effect
+rho_a^T (x) I - E_k needs the preparations alone.
 """
 from __future__ import annotations
 

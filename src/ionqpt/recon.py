@@ -42,7 +42,6 @@ from .process import (
     _partial_trace_out,
     choi_to_chi,
     process_fidelity,
-    project_to_physical,
     unitary_to_chi,
     validate_cptp,
 )
@@ -218,7 +217,7 @@ def _mle(n2: np.ndarray, shots: int, max_iterations: int
             d = min(d * _DILUTION_GROWTH, _DILUTION_CAP)
         j, p, log_l = trial, p_trial, log_trial
         log_ls.append(log_l)
-    return (ProcessMatrix(project_to_physical(choi_to_chi(j))),
+    return (ProcessMatrix(choi_to_chi(j)),
             MleResult(np.array(log_ls), gap, "gap" if converged else "budget"))
 
 

@@ -74,10 +74,14 @@ def test_simulate_bad_noise_file_exit_2(tmp_path):
                "--seed", "1", "-o", out) == 2
 
 
+# The two finite values of 1e308 overflow the laser phase on the plan: the
+# NaN amplitudes used to read as dark shots, with numpy warnings and exit 0.
 @pytest.mark.parametrize("field,value", [
     ("drift_hz_per_min", float("nan")),
     ("phase_diffusion_rad_per_sqrt_us", float("inf")),
     ("pulse_area_fractional_error", -1.0),
+    ("drift_hz_per_min", 1e308),
+    ("fast_freq_sigma_hz", 1e308),
 ])
 def test_simulate_out_of_range_noise_exit_2(tmp_path, capsys, field, value):
     doc = NoiseModel.paper_study().to_dict()
@@ -85,12 +89,13 @@ def test_simulate_out_of_range_noise_exit_2(tmp_path, capsys, field, value):
     noise_path = str(tmp_path / "noise.json")
     with open(noise_path, "w") as fh:
         json.dump(doc, fh)
-    out = str(tmp_path / "ds.json")
+    out = tmp_path / "ds.json"
     assert run("simulate", "--process", "identity", "--noise", noise_path,
-               "--shots", "10", "--seed", "1", "-o", out) == 2
+               "--shots", "10", "--seed", "1", "-o", str(out)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_simulate_boolean_noise_value_exit_2(tmp_path, capsys):
@@ -228,11 +233,14 @@ def test_reconstruct_bad_timing_exit_2(small_dataset, tmp_path, capsys,
     lambda doc: doc["meta"]["timing"].update(process_duration_us=50.0),
     lambda doc: doc["meta"]["timing"].update(shot_overhead_ms=True),
     lambda doc: doc["meta"]["process"].update(theta=True),
+    lambda doc: doc["records"].pop(17) and None,
+    lambda doc: doc["records"].append(dict(doc["records"][16])),
 ], ids=["noise-unknown-key", "process-unknown-key", "noise-not-a-mapping",
         "top-level-list", "record-not-a-mapping", "noise-value-not-a-number",
         "process-without-label", "shots-not-an-integer", "count-a-string",
         "negative-shot-period", "negative-process-window", "window-mismatch",
-        "timing-value-a-boolean", "process-value-a-boolean"])
+        "timing-value-a-boolean", "process-value-a-boolean", "missing-k",
+        "repeated-k"])
 def test_reconstruct_bad_meta_block_exit_2(small_dataset, tmp_path, capsys,
                                            edit):
     with open(small_dataset) as fh:
@@ -423,6 +431,23 @@ def test_report_chi_not_a_mapping_exit_2(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", [["report", "CHI"],
+                                     ["bell", "--chi", "CHI"]],
+                         ids=lambda c: c[0])
+def test_chi_with_wrong_basis_order_exit_2(tmp_path, capsys, command):
+    doc = chi_to_json_dict(unitary_to_chi(np.eye(4)))
+    doc["basis_order"] = doc["basis_order"][::-1]
+    chi_path = str(tmp_path / "chi.json")
+    with open(chi_path, "w") as fh:
+        json.dump(doc, fh)
+    out = tmp_path / "out"
+    assert run(*[chi_path if a == "CHI" else a for a in command],
+               "-o", str(out)) == 2
+    out_text, err = _assert_one_error_line(capsys)
+    assert out_text == "" and "basis_order" in err
+    assert list(tmp_path.iterdir()) == [tmp_path / "chi.json"]
+
+
 def test_reconstruct_inversion_of_trace_decreasing_map_is_unphysical(
         tmp_path, capsys):
     # The exact data of K = diag(1, 1/2, 1/2, 1/2): the inversion is PSD
@@ -588,6 +613,18 @@ def test_ramsey_flat_contrast_fit_warns_exit_1(tmp_path, capsys):
     assert out.exists()
 
 
+def test_ramsey_overflowing_laser_phase_exit_2(tmp_path, capsys):
+    # 2 pi sigma overflows; the NaN fringe read as contrast 1.0 at every delay.
+    noise_path = tmp_path / "noise.json"
+    noise_path.write_text('{"fast_freq_sigma_hz": 1e308}')
+    out = tmp_path / "r.csv"
+    assert run("ramsey", "--delays", "20,1e10,40", "--shots", "16",
+               "--noise", str(noise_path), "-o", str(out)) == 2
+    out_text, err = _assert_one_error_line(capsys)
+    assert out_text == "" and "noise model" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # heating
 # ---------------------------------------------------------------------------
@@ -680,6 +717,21 @@ def test_heating_degenerate_time_grid_exit_2(tmp_path, capsys, times):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_heating_flat_signal_warns_exit_1(tmp_path, capsys):
+    t = np.linspace(2.0, 600.0, 40)
+    csv_path = str(tmp_path / "sb.csv")
+    with open(csv_path, "w") as fh:
+        fh.write("time_us,signal\n")
+        fh.writelines(f"{float(a)!r},0.25\n" for a in t)
+    out = tmp_path / "h.json"
+    assert run("heating", csv_path, "-o", str(out)) == 1
+    out_text, err = capsys.readouterr()
+    assert out_text == ""
+    assert err == ("warning: heating fit failed: flat sideband signal; "
+                   "occupation unidentifiable\n")
     assert not out.exists()
 
 

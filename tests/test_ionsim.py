@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -563,6 +564,30 @@ def test_simulate_ramsey_rejects_nonpositive_delay():
     for shots in (0, -3, 15):
         with pytest.raises(ValidationError, match="shots"):
             simulate_ramsey([20.0], NoiseModel.none(), shots=shots)
+
+
+# Finite noise parameters whose laser phase overflows: the NaN amplitudes
+# used to read as dark shots and the NaN fringe as contrast 1, with numpy
+# RuntimeWarnings.  Now an error that names the noise model, and no warning.
+@pytest.mark.parametrize("field", ["drift_hz_per_min", "fast_freq_sigma_hz",
+                                   "phase_diffusion_rad_per_sqrt_us"])
+def test_generate_dataset_rejects_overflowing_laser_phase(field):
+    proc = ProcessSpec.ms()
+    noise = NoiseModel(**{field: 1e308})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=f"noise model.*{field}"):
+            generate_dataset(plan_for_process(proc, shots=5), proc, noise, 1)
+
+
+@pytest.mark.parametrize("field", ["fast_freq_sigma_hz",
+                                   "phase_diffusion_rad_per_sqrt_us"])
+def test_simulate_ramsey_rejects_overflowing_phase(field):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=f"noise model.*{field}"):
+            simulate_ramsey([20.0, 40.0], NoiseModel(**{field: 1e308}),
+                            shots=16)
 
 
 # SHA-256 of the float64 bytes of (n2, n1, n0): the datasets must not change.

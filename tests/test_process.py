@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from ionqpt.process import (
     ProcessMatrix,
     apply_process,
+    atomic_write_text,
     chi_from_json_dict,
     chi_to_choi,
     chi_to_json_dict,
@@ -17,7 +18,6 @@ from ionqpt.process import (
     identity_chi,
     load_chi,
     process_fidelity,
-    project_to_physical,
     save_chi,
     unitary_to_chi,
     validate_cptp,
@@ -294,13 +294,15 @@ def test_extract_error_process_undoes_the_ideal_gate(kraus, u_raw, a):
         u.conj().T @ e_rho @ u, rtol=0, atol=1e-12)
 
 
-def test_project_to_physical():
-    chi = unitary_to_chi(ms_unitary()).chi.copy()
-    chi[1, 1] = -0.05  # inject a negative eigenvalue
-    fixed = project_to_physical(chi)
-    assert np.linalg.eigvalsh(fixed)[0] >= -1e-12
-    assert fixed.trace().real == pytest.approx(1.0, abs=1e-12)
-    np.testing.assert_allclose(project_to_physical(fixed), fixed, atol=1e-13)
+def test_atomic_write_text_failure_names_target_and_leaves_no_temp(tmp_path):
+    # Renaming the temp file over a directory fails after it was written.
+    target = tmp_path / "out.json"
+    target.mkdir()
+    with pytest.raises(OSError) as info:
+        atomic_write_text(str(target), "{}")
+    assert info.value.filename == str(target)
+    assert list(tmp_path.iterdir()) == [target]
+    assert list(target.iterdir()) == []
 
 
 def test_json_roundtrip(tmp_path):
