@@ -74,8 +74,8 @@ def test_simulate_bad_noise_file_exit_2(tmp_path):
                "--seed", "1", "-o", out) == 2
 
 
-# The two finite values of 1e308 overflow the laser phase on the plan: the
-# NaN amplitudes used to read as dark shots, with numpy warnings and exit 0.
+# The two finite values of 1e308 overflow the laser phase on the plan; the
+# NaN amplitudes would read as dark shots.
 @pytest.mark.parametrize("field,value", [
     ("drift_hz_per_min", float("nan")),
     ("phase_diffusion_rad_per_sqrt_us", float("inf")),
@@ -614,7 +614,7 @@ def test_ramsey_flat_contrast_fit_warns_exit_1(tmp_path, capsys):
 
 
 def test_ramsey_overflowing_laser_phase_exit_2(tmp_path, capsys):
-    # 2 pi sigma overflows; the NaN fringe read as contrast 1.0 at every delay.
+    # 2 pi sigma overflows; a NaN fringe would read as contrast 1.0.
     noise_path = tmp_path / "noise.json"
     noise_path.write_text('{"fast_freq_sigma_hz": 1e308}')
     out = tmp_path / "r.csv"

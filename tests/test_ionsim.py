@@ -566,9 +566,9 @@ def test_simulate_ramsey_rejects_nonpositive_delay():
             simulate_ramsey([20.0], NoiseModel.none(), shots=shots)
 
 
-# Finite noise parameters whose laser phase overflows: the NaN amplitudes
-# used to read as dark shots and the NaN fringe as contrast 1, with numpy
-# RuntimeWarnings.  Now an error that names the noise model, and no warning.
+# Finite noise parameters whose laser phase overflows: NaN amplitudes would
+# read as dark shots and a NaN fringe as contrast 1.  The error names the
+# noise model, and numpy warns of nothing.
 @pytest.mark.parametrize("field", ["drift_hz_per_min", "fast_freq_sigma_hz",
                                    "phase_diffusion_rad_per_sqrt_us"])
 def test_generate_dataset_rejects_overflowing_laser_phase(field):
