@@ -4,23 +4,26 @@
 frequencies exactly (``protocol.invert_p2``); it is fast but can return
 unphysical (non-PSD, non-TP) matrices when the data are noisy.
 ``mle_reconstruct`` maximizes the per-sequence binomial likelihood of the
-both-bright counts over CPTP maps, parameterized by the Choi matrix J, with
-the diluted fixed-point iteration of Jezek, Fiurasek & Hradil, PRA 68, 012305
-(2003): J <- Lambda^-1 R_d J R_d Lambda^-1, where R_d = (1 - d) I + d R_hat
-mixes the scaled likelihood gradient operator R with the identity and
-Lambda = (Tr_out[R_d J R_d])^(1/2) (x) I enforces trace preservation each
-step.  Only P2 enters the likelihood; P1/P0 counts are ignored by design.
+both-bright counts over CPTP maps; P1/P0 counts are ignored by design.  It
+runs L-BFGS (``scipy.optimize``) on -log L over a 16x16 factor T from
+T = I/2: J = K T T^dag K with K = Lambda^(-1/2) (x) I and
+Lambda = Tr_out(T T^dag), so every J is CPTP and J = I/4 at the start.  The
+gradient is 2 (K R K + D(q) (x) I) T, with R below, X = T T^dag,
+q = Tr_out(X K R + R K X) and D the Frechet derivative of Lambda^(-1/2).
+At every accepted iterate the solve checks the duality gap
+4 lambda_max(R - Lambda_0 (x) I), Lambda_0 = herm Tr_out(R J).  log L is
+concave and Tr(R J') <= Tr Lambda for every CPTP J' once Lambda (x) I >= R,
+so the gap bounds log L* - log L(J) over all CPTP maps; the solve stops once
+it is at most ``GAP_TOLERANCE``.  If the line search stalls in floating point
+first, the diluted fixed-point step of Jezek, Fiurasek & Hradil, PRA 68,
+012305 (2003), J <- Lambda^-1 R_d J R_d Lambda^-1 with
+R_d = (1 - d) I + d R_hat and Lambda = (Tr_out[R_d J R_d])^(1/2) (x) I,
+finishes from that J and checks the gap every 10 steps.  Its dilution d
+starts at 1/2 and grows x1.1, up to 1, after each step that raises log L; a
+larger trial that would lower log L is dropped for the step at the base
+dilution (Rehacek, Hradil, Knill & Lvovsky, PRA 75, 042108 (2007)).
 
-The dilution d adapts as in Rehacek, Hradil, Knill & Lvovsky, PRA 75, 042108
-(2007): it starts at 1/2 and grows x1.1, up to 1, after each step that
-raises log L; a larger trial that would lower log L is dropped for the step
-at the base dilution.  Every 10 iterations the solve
-checks the duality gap 4 lambda_max(R - Lambda_0 (x) I), Lambda_0 =
-herm Tr_out(R J).  log L is concave and Tr(R J') <= Tr Lambda for every CPTP
-J' once Lambda (x) I >= R, so the gap bounds log L* - log L(J) over all CPTP
-maps; the solve stops once it is at most ``GAP_TOLERANCE``.
-
-Both halves of an iteration read the forward model of ``protocol``: sequence
+Both solvers read the forward model of ``protocol``: sequence
 k = 16*a + b prepares rho_a and has the both-bright effect
 E_k = rho_a^T (x) M_b.  p_k = Tr(J E_k) is ``forward_p2``.  With
 w = n2/p - n_other/(1-p) and b = n_other/(1-p), the gradient operator is
@@ -67,7 +70,7 @@ GAP_TOLERANCE = 1e-3  # nats
 
 @dataclass
 class MleResult:
-    log_likelihoods: np.ndarray  # of every accepted iterate
+    log_likelihoods: np.ndarray  # of J = I/4, then every accepted iterate
     gap: float  # duality bound on log L* - log L of the returned J
     stop_reason: str  # "gap" (certified) or "budget"
 
@@ -140,17 +143,18 @@ def _kron_eye4(m: np.ndarray) -> np.ndarray:
     return (m[:, None, :, None] * _EYE4[None, :, None, :]).reshape(16, 16)
 
 
-def _psd_sqrt_inv(m: np.ndarray) -> np.ndarray:
+def _sqrt_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(s, v) with herm(m) = v diag(s^2) v^dag, s^2 floored to keep s > 0."""
     w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
-    w = np.clip(w, 1e-14 * max(w[-1], 1e-300), None)
-    return (v / np.sqrt(w)) @ v.conj().T
+    return np.sqrt(np.clip(w, 1e-14 * max(w[-1], 1e-300), None)), v
 
 
 def _dilute_step(j: np.ndarray, r_hat: np.ndarray, d: float) -> np.ndarray:
     """One step from J at dilution d, R_hat being the scaled gradient."""
     r_d = (1.0 - d) * _EYE16 + d * r_hat
     g = r_d @ j @ r_d
-    lam_inv = _kron_eye4(_psd_sqrt_inv(_partial_trace_out(g)))
+    s, v = _sqrt_eigh(_partial_trace_out(g))
+    lam_inv = _kron_eye4((v / s) @ v.conj().T)
     j = lam_inv @ g @ lam_inv
     return 0.5 * (j + j.conj().T)
 
@@ -188,24 +192,64 @@ def _budget(max_iterations: int | None) -> int:
     return budget
 
 
+def _factor_objective(evaluate, gradient, scale: float):
+    """``objective(x) -> (-scale log L, gradient)`` of the factor T viewed as
+    the 512 floats ``x``, and the (x, J, log L, R) of the last x evaluated."""
+    last = []
+
+    def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
+        t = x.view(complex).reshape(16, 16)
+        xx = t @ t.conj().T
+        s, v = _sqrt_eigh(_partial_trace_out(xx))
+        k = _kron_eye4((v / s) @ v.conj().T)
+        j = k @ xx @ k
+        j = 0.5 * (j + j.conj().T)
+        p, log_l = evaluate(j)
+        r = gradient(p)
+        kr = k @ r
+        xkr = xx @ kr
+        # D in Lambda's eigenbasis: divided differences -1/(s s' (s + s'))
+        q = v.conj().T @ _partial_trace_out(xkr + xkr.conj().T) @ v
+        dq = v @ (q / -(s[:, None] * s * (s[:, None] + s))) @ v.conj().T
+        g = (kr @ k + _kron_eye4(dq)) @ t
+        last[:] = [x.copy(), j, log_l, r]
+        return -scale * log_l, -2.0 * scale * g.view(float).ravel()
+
+    return objective, last
+
+
 def _mle(n2: np.ndarray, shots: int, max_iterations: int
          ) -> tuple[ProcessMatrix, MleResult]:
-    """Run the iteration on the counts ``n2`` of ``shots`` shots each."""
+    """Run the solve on the counts ``n2`` of ``shots`` shots each."""
+    from scipy.optimize import minimize
+
     evaluate, gradient = _likelihood(n2, shots)
     # Balance scales so that Tr(R_hat J) = Tr(I J) = 4 at the current J.
     scale = 4.0 / (shots * n2.size)
+    objective, last = _factor_objective(evaluate, gradient, scale)
+    log_ls: list[float] = []
+    accepted = []
+
+    def accept(x: np.ndarray) -> None:
+        if not last or not np.array_equal(x, last[0]):
+            objective(x)
+        _, j, log_l, r = last
+        log_ls.append(log_l)
+        accepted[:] = [j, log_l, r, _duality_gap(r, j)]
+        if accepted[-1] <= GAP_TOLERANCE or len(log_ls) == max_iterations:
+            raise StopIteration
+
+    x0 = (np.eye(16, dtype=complex) / 2.0).view(float).ravel()
+    try:
+        accept(x0)
+        minimize(objective, x0, jac=True, method="L-BFGS-B", callback=accept,
+                 options={"maxiter": max_iterations, "ftol": 0.0, "gtol": 0.0})
+    except StopIteration:
+        pass
+    # The fixed-point finisher, if the line search stalled first
+    j, log_l, r, gap = accepted
     d = _DILUTION_BASE
-    j = np.eye(16, dtype=complex) / 4.0  # maximally mixed, trivially CPTP
-    p, log_l = evaluate(j)
-    log_ls = [log_l]
-    while True:
-        r = gradient(p)
-        n = len(log_ls)
-        if n % _GAP_CHECK_EVERY == 0 or n == max_iterations:
-            gap = _duality_gap(r, j)
-            converged = gap <= GAP_TOLERANCE
-            if converged or n == max_iterations:
-                break
+    while gap > GAP_TOLERANCE and len(log_ls) < max_iterations:
         r_hat = scale * r
         trial = _dilute_step(j, r_hat, d)
         p_trial, log_trial = evaluate(trial)
@@ -215,10 +259,15 @@ def _mle(n2: np.ndarray, shots: int, max_iterations: int
             p_trial, log_trial = evaluate(trial)
         if log_trial > log_l:
             d = min(d * _DILUTION_GROWTH, _DILUTION_CAP)
-        j, p, log_l = trial, p_trial, log_trial
+        j, log_l = trial, log_trial
         log_ls.append(log_l)
+        r = gradient(p_trial)
+        n = len(log_ls)
+        if n % _GAP_CHECK_EVERY == 0 or n == max_iterations:
+            gap = _duality_gap(r, j)
     return (ProcessMatrix(choi_to_chi(j)),
-            MleResult(np.array(log_ls), gap, "gap" if converged else "budget"))
+            MleResult(np.array(log_ls), gap,
+                      "gap" if gap <= GAP_TOLERANCE else "budget"))
 
 
 def mle_reconstruct(dataset: ShotDataset, max_iterations: int | None = None

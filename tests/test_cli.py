@@ -53,6 +53,17 @@ def test_simulate_same_seed_byte_identical(tmp_path):
     assert open(a, "rb").read() == open(b, "rb").read()
 
 
+def test_reconstruct_same_dataset_byte_identical(tmp_path):
+    data = str(tmp_path / "ds.json")
+    assert run("simulate", "--process", "identity", "--noise", "paper",
+               "--shots", "20", "--seed", "7", "-o", data) == 0
+    a = str(tmp_path / "a.json")
+    b = str(tmp_path / "b.json")
+    for out in (a, b):
+        assert run("reconstruct", data, "-o", out) == 0
+    assert open(a, "rb").read() == open(b, "rb").read()
+
+
 def test_simulate_noise_file(tmp_path):
     noise_path = str(tmp_path / "noise.json")
     with open(noise_path, "w") as fh:

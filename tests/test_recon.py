@@ -39,6 +39,7 @@ from ionqpt.recon import (
     _DILUTION_BASE,
     _PROBABILITY_FLOOR,
     _dilute_step,
+    _factor_objective,
     _likelihood,
     bootstrap_fidelity,
     bootstrap_statistic,
@@ -195,6 +196,59 @@ def test_noiseless_seed2_certifies_within_budget():
     assert result.converged
     assert result.iterations < 5000
     assert result.gap <= GAP_TOLERANCE
+
+
+def _paper_dataset(proc, shots=500):
+    return generate_dataset(plan_for_process(proc, shots=shots), proc,
+                            NoiseModel.paper_study(), seed=11)
+
+
+def test_factor_gradient_matches_central_differences():
+    # T = I/2 has Lambda = I, whose eigenvalues are all equal; the others are
+    # random factors at random counts.
+    rng = np.random.default_rng(31)
+    factors = [np.eye(16, dtype=complex) / 2.0]
+    factors += [rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+                for _ in range(2)]
+    for t in factors:
+        shots = 30
+        evaluate, gradient = _likelihood(
+            rng.integers(0, shots + 1, 256).astype(float), shots)
+        objective, _ = _factor_objective(evaluate, gradient, 1.0 / shots)
+        x = t.view(float).ravel()
+        _, analytic = objective(x)
+        h = 1e-6
+        step = h * np.eye(x.size)
+        numeric = np.array([(objective(x + e)[0] - objective(x - e)[0])
+                            / (2.0 * h) for e in step])
+        assert (np.linalg.norm(numeric - analytic)
+                <= 1e-6 * np.linalg.norm(analytic))
+
+
+def test_paper_identity_bootstrap_certifies_every_replica():
+    # criterion 10's 500-shot bootstrap; the fixed-point solve left replicas
+    # 2, 7 and 11 at the 20000-iteration budget
+    proc = ProcessSpec.identity()
+    report = bootstrap_fidelity(_paper_dataset(proc), None,
+                                proc.ideal_unitary(), replicas=12, seed=9)
+    assert report.unconverged == 0
+
+
+@pytest.mark.parametrize("proc", [ProcessSpec.identity(), ProcessSpec.delay()],
+                         ids=["identity", "delay"])
+def test_factor_solve_agrees_with_fixed_point_solve(proc, monkeypatch):
+    import scipy.optimize
+
+    ds = _paper_dataset(proc)
+    _, fast = mle_reconstruct(ds)
+    # with no quasi-Newton step the fixed-point finisher does the whole solve
+    monkeypatch.setattr(scipy.optimize, "minimize", lambda *a, **k: None)
+    _, fixed = mle_reconstruct(ds)
+    assert fast.converged and fixed.converged
+    assert fixed.iterations > fast.iterations
+    # both are within their gap of the same optimum
+    assert (abs(fast.final_log_likelihood - fixed.final_log_likelihood)
+            <= GAP_TOLERANCE)
 
 
 def test_bootstrap_determinism(ms_sampled_dataset, monkeypatch):
