@@ -7,7 +7,7 @@ CPTP-constrained maximum likelihood, and reports the resulting process errors.
 The delay process always comes out worse than the identity: the extra free
 evolution gives the laser phase 120 us more time to wander.
 
-Runtime: one to two seconds (two 128k-shot simulations plus two MLE runs).
+Runtime: about a second (two 128k-shot simulations plus two MLE runs).
 """
 import time
 

@@ -198,8 +198,8 @@ def test_noiseless_seed2_certifies_within_budget():
     assert result.gap <= GAP_TOLERANCE
 
 
-def _paper_dataset(proc, shots=500):
-    return generate_dataset(plan_for_process(proc, shots=shots), proc,
+def _paper_dataset(proc):
+    return generate_dataset(plan_for_process(proc, shots=500), proc,
                             NoiseModel.paper_study(), seed=11)
 
 
@@ -210,8 +210,8 @@ def test_factor_gradient_matches_central_differences():
     factors = [np.eye(16, dtype=complex) / 2.0]
     factors += [rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
                 for _ in range(2)]
+    shots = 30
     for t in factors:
-        shots = 30
         evaluate, gradient = _likelihood(
             rng.integers(0, shots + 1, 256).astype(float), shots)
         objective, _ = _factor_objective(evaluate, gradient, 1.0 / shots)
@@ -226,8 +226,8 @@ def test_factor_gradient_matches_central_differences():
 
 
 def test_paper_identity_bootstrap_certifies_every_replica():
-    # criterion 10's 500-shot bootstrap; the fixed-point solve left replicas
-    # 2, 7 and 11 at the 20000-iteration budget
+    # criterion 10's 500-shot bootstrap: replicas 2, 7 and 11 end at
+    # rank-deficient optima, where the Lambda_0 gap is loose
     proc = ProcessSpec.identity()
     report = bootstrap_fidelity(_paper_dataset(proc), None,
                                 proc.ideal_unitary(), replicas=12, seed=9)
