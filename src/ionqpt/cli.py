@@ -158,9 +158,9 @@ def cmd_reconstruct(args) -> int:
             "method": "inversion",
             "min_eigenvalue": li.min_eigenvalue,
             "raw_trace": li.raw_trace,
-            "physical": li.physical,
+            "physical": li.is_physical(),
         }
-        if not li.physical:
+        if not li.is_physical():
             print("note: inversion result is unphysical: "
                   + "; ".join(li.failures()), file=sys.stderr)
     save_chi(args.output, chi)

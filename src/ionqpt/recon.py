@@ -15,15 +15,14 @@ At every accepted iterate the solve checks the duality gap
 concave and Tr(R J') <= Tr Lambda for every CPTP J' once Lambda (x) I >= R,
 so the gap bounds log L* - log L(J) over all CPTP maps; the solve stops once
 it is at most ``GAP_TOLERANCE``.  If the line search stalls in floating point
-first, the diluted fixed-point step of Jezek, Fiurasek & Hradil, PRA 68,
-012305 (2003), J <- Lambda^-1 R_d J R_d Lambda^-1 with
-R_d = (1 - d) I + d R_hat and Lambda = (Tr_out[R_d J R_d])^(1/2) (x) I,
-finishes from that J and checks the gap every 10 steps.  Its dilution d
-starts at 1/2 and grows x1.1, up to 1, after each step that raises log L; a
-larger trial that would lower log L is dropped for the step at the base
-dilution (Rehacek, Hradil, Knill & Lvovsky, PRA 75, 042108 (2007)).
+first, the fixed-point step of Jezek, Fiurasek & Hradil, PRA 68, 012305
+(2003), finishes on the same factor: T <- R_hat K T, with R_hat the scaled
+gradient.  Since J = K T T^dag K, the factor map turns it into
+J <- Lambda^(-1/2) R_hat J R_hat Lambda^(-1/2) with
+Lambda = Tr_out(R_hat J R_hat), and every finisher step is an accepted
+iterate with its gap checked, as above.
 
-Both solvers read the forward model of ``protocol``: sequence
+The solve reads the forward model of ``protocol``: sequence
 k = 16*a + b prepares rho_a and has the both-bright effect
 E_k = rho_a^T (x) M_b.  p_k = Tr(J E_k) is ``forward_p2``.  With
 w = n2/p - n_other/(1-p) and b = n_other/(1-p), the gradient operator is
@@ -93,7 +92,6 @@ class LinearInversionDiagnostics(CptpDiagnostics):
     before normalization."""
 
     raw_trace: float
-    physical = property(CptpDiagnostics.is_physical)
 
 
 @dataclass
@@ -124,18 +122,9 @@ def linear_inversion(dataset: ShotDataset
 
 
 _EYE4 = np.eye(4)
-_EYE16 = np.eye(16)
 # Predicted probabilities are clipped to [floor, 1 - floor] so that log L
 # stays finite.
 _PROBABILITY_FLOOR = 1e-12
-# Adaptive dilution: after each step that raises log L the dilution grows by
-# this factor, up to the cap; a larger trial that lowers log L is replaced by
-# the step at the base dilution, from where the growth starts again.  With
-# d <= 1, R_d = (1 - d) I + d R_hat is a convex mix of two PSD operators.
-_DILUTION_BASE = 0.5
-_DILUTION_GROWTH = 1.1
-_DILUTION_CAP = 1.0
-_GAP_CHECK_EVERY = 10
 
 
 def _kron_eye4(m: np.ndarray) -> np.ndarray:
@@ -147,16 +136,6 @@ def _sqrt_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(s, v) with herm(m) = v diag(s^2) v^dag, s^2 floored to keep s > 0."""
     w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
     return np.sqrt(np.clip(w, 1e-14 * max(w[-1], 1e-300), None)), v
-
-
-def _dilute_step(j: np.ndarray, r_hat: np.ndarray, d: float) -> np.ndarray:
-    """One step from J at dilution d, R_hat being the scaled gradient."""
-    r_d = (1.0 - d) * _EYE16 + d * r_hat
-    g = r_d @ j @ r_d
-    s, v = _sqrt_eigh(_partial_trace_out(g))
-    lam_inv = _kron_eye4((v / s) @ v.conj().T)
-    j = lam_inv @ g @ lam_inv
-    return 0.5 * (j + j.conj().T)
 
 
 def _duality_gap(r: np.ndarray, j: np.ndarray) -> float:
@@ -194,7 +173,8 @@ def _budget(max_iterations: int | None) -> int:
 
 def _factor_objective(evaluate, gradient, scale: float):
     """``objective(x) -> (-scale log L, gradient)`` of the factor T viewed as
-    the 512 floats ``x``, and the (x, J, log L, R) of the last x evaluated."""
+    the 512 floats ``x``, and the (x, J, log L, R, K) of the last x
+    evaluated."""
     last = []
 
     def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
@@ -212,7 +192,7 @@ def _factor_objective(evaluate, gradient, scale: float):
         q = v.conj().T @ _partial_trace_out(xkr + xkr.conj().T) @ v
         dq = v @ (q / -(s[:, None] * s * (s[:, None] + s))) @ v.conj().T
         g = (kr @ k + _kron_eye4(dq)) @ t
-        last[:] = [x.copy(), j, log_l, r]
+        last[:] = [x.copy(), j, log_l, r, k]
         return -scale * log_l, -2.0 * scale * g.view(float).ravel()
 
     return objective, last
@@ -233,9 +213,9 @@ def _mle(n2: np.ndarray, shots: int, max_iterations: int
     def accept(x: np.ndarray) -> None:
         if not last or not np.array_equal(x, last[0]):
             objective(x)
-        _, j, log_l, r = last
+        _, j, log_l, r, _ = last
         log_ls.append(log_l)
-        accepted[:] = [j, log_l, r, _duality_gap(r, j)]
+        accepted[:] = [*last, _duality_gap(r, j)]
         if accepted[-1] <= GAP_TOLERANCE or len(log_ls) == max_iterations:
             raise StopIteration
 
@@ -244,27 +224,15 @@ def _mle(n2: np.ndarray, shots: int, max_iterations: int
         accept(x0)
         minimize(objective, x0, jac=True, method="L-BFGS-B", callback=accept,
                  options={"maxiter": max_iterations, "ftol": 0.0, "gtol": 0.0})
+        # The fixed-point finisher, if the line search stalled first; scipy
+        # returns normally when the callback stops it.
+        while accepted[-1] > GAP_TOLERANCE and len(log_ls) < max_iterations:
+            x, _, _, r, k, _ = accepted
+            t = (scale * r) @ k @ x.view(complex).reshape(16, 16)
+            accept(t.view(float).ravel())
     except StopIteration:
         pass
-    # The fixed-point finisher, if the line search stalled first
-    j, log_l, r, gap = accepted
-    d = _DILUTION_BASE
-    while gap > GAP_TOLERANCE and len(log_ls) < max_iterations:
-        r_hat = scale * r
-        trial = _dilute_step(j, r_hat, d)
-        p_trial, log_trial = evaluate(trial)
-        if log_trial < log_l and d > _DILUTION_BASE:
-            d = _DILUTION_BASE
-            trial = _dilute_step(j, r_hat, d)
-            p_trial, log_trial = evaluate(trial)
-        if log_trial > log_l:
-            d = min(d * _DILUTION_GROWTH, _DILUTION_CAP)
-        j, log_l = trial, log_trial
-        log_ls.append(log_l)
-        r = gradient(p_trial)
-        n = len(log_ls)
-        if n % _GAP_CHECK_EVERY == 0 or n == max_iterations:
-            gap = _duality_gap(r, j)
+    _, j, _, _, _, gap = accepted
     return (ProcessMatrix(choi_to_chi(j)),
             MleResult(np.array(log_ls), gap,
                       "gap" if gap <= GAP_TOLERANCE else "budget"))

@@ -36,9 +36,7 @@ from ionqpt.qmath import ValidationError, two_qubit_pauli_basis
 from ionqpt import recon
 from ionqpt.recon import (
     GAP_TOLERANCE,
-    _DILUTION_BASE,
     _PROBABILITY_FLOOR,
-    _dilute_step,
     _factor_objective,
     _likelihood,
     bootstrap_fidelity,
@@ -82,7 +80,7 @@ def test_mle_config_validation(ms_exact_dataset, monkeypatch):
 
 def test_linear_inversion_exact(ms_exact_dataset):
     chi, diag = linear_inversion(ms_exact_dataset)
-    assert diag.physical
+    assert diag.is_physical()
     assert diag.raw_trace == pytest.approx(1.0, abs=1e-8)
     ideal = ms_exact_dataset.process.ideal_chi()
     np.testing.assert_allclose(chi.chi, ideal.chi, atol=1e-8)
@@ -91,7 +89,7 @@ def test_linear_inversion_exact(ms_exact_dataset):
 def test_linear_inversion_noisy_is_unphysical(ms_sampled_dataset):
     chi, diag = linear_inversion(ms_sampled_dataset)
     assert diag.min_eigenvalue < 0.0
-    assert not diag.physical
+    assert not diag.is_physical()
 
 
 def test_mle_exact_probabilities(ms_exact_dataset):
@@ -179,6 +177,7 @@ def test_duality_gap_bounds_the_likelihood_on_random_counts(counts, budgets):
         _, long = mle_reconstruct(ds, 2000)
     assert long.gap >= -1e-9
     assert long.converged == (long.gap <= 1e-6)
+    assert np.diff(long.log_likelihoods).min(initial=0.0) >= -1e-9
     for budget in sorted(budgets):
         _, short = mle_reconstruct(ds, budget)
         assert short.gap >= -1e-9
@@ -246,6 +245,8 @@ def test_factor_solve_agrees_with_fixed_point_solve(proc, monkeypatch):
     _, fixed = mle_reconstruct(ds)
     assert fast.converged and fixed.converged
     assert fixed.iterations > fast.iterations
+    assert all(np.diff(r.log_likelihoods).min() >= -1e-9
+               for r in (fast, fixed))
     # both are within their gap of the same optimum
     assert (abs(fast.final_log_likelihood - fixed.final_log_likelihood)
             <= GAP_TOLERANCE)
@@ -358,9 +359,9 @@ def test_kronecker_maps_match_einsum_effects():
 
 def _einsum_mle_choi(dataset, steps):
     """The iteration as first written: the effect stacks of both outcomes
-    built with np.kron and contracted by einsum, run at the base dilution for
-    a fixed number of steps with no stop rule.  Returns each iterate with its
-    p, log L and R, and the iterate after the last."""
+    built with np.kron and contracted by einsum, run as the plain
+    R_hat J R_hat step for a fixed number of steps with no stop rule.
+    Returns each iterate with its p, log L and R."""
     plan = dataset.plan
     rho, mop = sequence_operators()
     eye4 = np.eye(4, dtype=complex)
@@ -372,7 +373,6 @@ def _einsum_mle_choi(dataset, steps):
     n_other = shots - n2
     total = float(shots * plan.n_sequences)
     eps = _PROBABILITY_FLOOR
-    d = _DILUTION_BASE
     j = eye16 / 4.0
     trace = []
     for _ in range(steps):
@@ -382,30 +382,35 @@ def _einsum_mle_choi(dataset, steps):
         r = (np.einsum("k,kab->ab", n2 / p, e_bright)
              + np.einsum("k,kab->ab", n_other / (1.0 - p), e_other))
         trace.append((j, p, log_l, r))
-        r_d = (1.0 - d) * eye16 + d * (4.0 / total) * r
-        g = r_d @ j @ r_d
+        r_hat = (4.0 / total) * r
+        g = r_hat @ j @ r_hat
         t = np.einsum("iaja->ij", g.reshape(4, 4, 4, 4))
         w, v = np.linalg.eigh(0.5 * (t + t.conj().T))
         w = np.clip(w, 1e-14 * max(w[-1], 1e-300), None)
         lam_inv = np.kron((v / np.sqrt(w)) @ v.conj().T, eye4)
         j = lam_inv @ g @ lam_inv
         j = 0.5 * (j + j.conj().T)
-    return trace, j
+    return trace
 
 
-def test_mle_iteration_matches_einsum_reference(ms_sampled_dataset):
+def test_mle_iteration_matches_einsum_reference(ms_sampled_dataset,
+                                                monkeypatch):
     # every iterate of 200 reference steps: the kernel's p, log L and R at
-    # it, and its base-dilution step from it
-    trace, j_last = _einsum_mle_choi(ms_sampled_dataset, 200)
+    # it; and the log L of every step of the finisher alone, which takes
+    # the same steps through the factor map
+    import scipy.optimize
+
+    trace = _einsum_mle_choi(ms_sampled_dataset, 200)
     evaluate, gradient = _likelihood(ms_sampled_dataset.n2, 150)
     scale = 4.0 / (150.0 * 256)
-    next_refs = [t[0] for t in trace[1:]] + [j_last]
-    for (j_ref, p_ref, log_l_ref, r_ref), j_next_ref in zip(trace, next_refs):
+    for j_ref, p_ref, log_l_ref, r_ref in trace:
         p, log_l = evaluate(np.ascontiguousarray(j_ref))
         np.testing.assert_allclose(p, p_ref, rtol=0, atol=1e-12)
         np.testing.assert_allclose(log_l, log_l_ref, rtol=1e-12)
         r = gradient(p)
         np.testing.assert_allclose(r * scale, r_ref * scale, rtol=0, atol=1e-9)
-        np.testing.assert_allclose(_dilute_step(j_ref, r * scale,
-                                                _DILUTION_BASE),
-                                   j_next_ref, rtol=0, atol=1e-9)
+    monkeypatch.setattr(scipy.optimize, "minimize", lambda *a, **k: None)
+    monkeypatch.setattr(recon, "GAP_TOLERANCE", 0.0)
+    _, fixed = mle_reconstruct(ms_sampled_dataset, 200)
+    np.testing.assert_allclose(fixed.log_likelihoods,
+                               [t[2] for t in trace], rtol=1e-12)
