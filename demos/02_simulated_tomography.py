@@ -33,7 +33,7 @@ def reconstruct(process, noise):
     err = 1.0 - process_fidelity(chi, process.ideal_chi())
     print(f"{process.label:>8}: simulated {SHOTS * 256} shots in {t_sim:.1f}s; "
           f"raw inversion min eigenvalue {inv_diag.min_eigenvalue:+.4f} "
-          f"({'unphysical' if not inv_diag.is_physical() else 'physical'})")
+          f"({'physical' if inv_diag.is_physical() else 'unphysical'})")
     print(f"{'':>8}  MLE stopped on {result.stop_reason} after "
           f"{result.iterations} iterations (duality gap {result.gap:.1e}, "
           f"{t_mle:.1f}s): process error {100 * err:.2f}%")
