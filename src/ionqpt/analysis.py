@@ -266,7 +266,7 @@ def _populations(n_th: float, n_coh: float, tail_tol: float
             raise TruncationError(
                 f"truncation tail {tail:.2e} at {dim} Fock states exceeds "
                 f"{tail_tol:.0e}")
-        dim = min(dim + max(64, 2 ** (dim.bit_length() - 3)), _MAX_DIM)  # next grid size
+        dim = min(dim + _grid_step(dim), _MAX_DIM)
     q_y = [0.0]
     for q_k in q[:dim - 1]:
         q_y.append(r * q_y[-1] + q_k)
@@ -302,10 +302,15 @@ def _auto_dim(n_th: float, n_coh: float, tail_tol: float) -> int:
     else:
         n_tail = 25.0
     base = n_tail + n_coh + 8.0 * math.sqrt(n_coh + 1.0) + 10.0
-    # Round up to a quarter of the enclosing power of two, 64 at least: never
-    # below the old bucket sizes, as a tighter truncation biased the cold n_coh.
-    step = max(64, 2 ** (math.floor(math.log2(base)) - 2))
+    step = _grid_step(base)
     return min(_MAX_DIM, step * math.ceil(base / step))
+
+
+def _grid_step(size: float) -> int:
+    """The spacing of the Fock truncation grid at ``size``: a quarter of the
+    enclosing power of two, 64 at least, so the grid never falls below the
+    old bucket sizes (a tighter truncation biased the cold n_coh)."""
+    return max(64, 2 ** (math.floor(math.log2(size)) - 2))
 
 
 def sideband_rabi_signal(occ: MotionalOccupation, times_us,

@@ -42,7 +42,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .process import ProcessMatrix, atomic_write_text, unitary_to_chi
+from .process import (ProcessMatrix, _is_number, atomic_write_text,
+                      unitary_to_chi)
 from .protocol import (
     SEQUENCES,
     ExperimentPlan,
@@ -545,10 +546,6 @@ def _sequence_probabilities(lay: _Layout, offsets: np.ndarray
             p00, p01 = _rotate(p00, p01, c, x2)
             p10, p11 = _rotate(p10, p11, c, x2)
     return np.abs(p00) ** 2, np.abs(p11) ** 2
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass

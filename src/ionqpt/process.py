@@ -240,6 +240,19 @@ def chi_to_json_dict(chi: ProcessMatrix | np.ndarray) -> dict:
     }
 
 
+def _is_number(value) -> bool:
+    """Whether a JSON value is a number; a boolean is not."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _numbers(value, name: str) -> np.ndarray:
+    """The nested JSON list ``value`` as floats, if every entry is a number."""
+    entries = np.asarray(value, dtype=object)
+    if not all(map(_is_number, entries.flat)):
+        raise ValidationError(f"every entry of {name} must be a JSON number")
+    return entries.astype(float)
+
+
 def chi_from_json_dict(doc: dict, validate: bool = True) -> ProcessMatrix:
     if not isinstance(doc, dict):
         raise ValidationError("chi document must be a JSON object")
@@ -248,7 +261,7 @@ def chi_from_json_dict(doc: dict, validate: bool = True) -> ProcessMatrix:
             f"unsupported chi convention {doc.get('convention')!r}")
     if doc.get("basis_order") != pauli_labels_2q():
         raise ValidationError("unexpected basis_order in chi document")
-    chi = np.asarray(doc["re"], dtype=float) + 1j * np.asarray(doc["im"], dtype=float)
+    chi = _numbers(doc["re"], "re") + 1j * _numbers(doc["im"], "im")
     return ProcessMatrix(chi, validate=validate)
 
 

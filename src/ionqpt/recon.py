@@ -7,18 +7,19 @@ unphysical (non-PSD, non-TP) matrices when the data are noisy.
 both-bright counts over CPTP maps; P1/P0 counts are ignored by design.  It
 runs L-BFGS (``scipy.optimize``) on -log L over a 16x16 factor T from
 T = I/2: J = K T T^dag K with K = Lambda^(-1/2) (x) I and
-Lambda = Tr_out(T T^dag), so every J is CPTP and J = I/4 at the start.  The
-gradient is 2 (K R K + D(q) (x) I) T, with R below, X = T T^dag,
-q = Tr_out(X K R + R K X) and D the Frechet derivative of Lambda^(-1/2).
-At every accepted iterate the solve checks the duality gap
+Lambda = Tr_out(T T^dag), so every J is CPTP and J = I/4 at the start.
+Each iterate's state (T, J, log L, R, K and Lambda) is computed once; from
+it, and only for L-BFGS, the gradient is 2 (K R K + D(q) (x) I) T, with R
+below, X = T T^dag, q = Tr_out(X K R + R K X) and D the Frechet derivative
+of Lambda^(-1/2).  At every accepted iterate the solve checks the duality gap
 4 lambda_max(R - Lambda_0 (x) I), Lambda_0 = herm Tr_out(R J).  log L is
 concave and Tr(R J') <= Tr Lambda for every CPTP J' once Lambda (x) I >= R,
 so the gap bounds log L* - log L(J) over all CPTP maps; the solve stops once
 it is at most ``GAP_TOLERANCE``.  If the line search stalls in floating point
 first, the fixed-point step of Jezek, Fiurasek & Hradil, PRA 68, 012305
 (2003), finishes on the same factor: T <- R_hat K T, with R_hat the scaled
-gradient.  Since J = K T T^dag K, the factor map turns it into
-J <- Lambda^(-1/2) R_hat J R_hat Lambda^(-1/2) with
+gradient operator, read from the state.  Since J = K T T^dag K, the factor
+map turns it into J <- Lambda^(-1/2) R_hat J R_hat Lambda^(-1/2) with
 Lambda = Tr_out(R_hat J R_hat), and every finisher step is an accepted
 iterate with its gap checked, as above.
 
@@ -145,22 +146,16 @@ def _duality_gap(r: np.ndarray, j: np.ndarray) -> float:
     return 4.0 * float(np.linalg.eigvalsh(r - _kron_eye4(lam0))[-1])
 
 
-def _likelihood(n2: np.ndarray, shots: int):
-    """``evaluate(J) -> (p, log L)`` and ``gradient(p) -> R`` of the counts."""
-    n_other = shots - n2
-
-    def evaluate(j: np.ndarray) -> tuple[np.ndarray, float]:
-        p = np.clip(forward_p2(j), _PROBABILITY_FLOOR, 1.0 - _PROBABILITY_FLOOR)
-        return p, float(n2 @ np.log(p) + n_other @ np.log1p(-p))
-
-    def gradient(p: np.ndarray) -> np.ndarray:
-        b = n_other / (1.0 - p)
-        prep_sums = b.reshape(16, 16).sum(axis=1)
-        # Row a of design factor A is vec(rho_a).
-        return (adjoint_p2(n2 / p - b) + _kron_eye4(
-            (prep_sums @ design_factors()[0]).reshape(4, 4).T))
-
-    return evaluate, gradient
+def _likelihood(j: np.ndarray, n2: np.ndarray, n_other: np.ndarray
+                ) -> tuple[np.ndarray, float, np.ndarray]:
+    """(p, log L, R) of the counts at J."""
+    p = np.clip(forward_p2(j), _PROBABILITY_FLOOR, 1.0 - _PROBABILITY_FLOOR)
+    b = n_other / (1.0 - p)
+    prep_sums = b.reshape(16, 16).sum(axis=1)
+    # Row a of design factor A is vec(rho_a).
+    r = adjoint_p2(n2 / p - b) + _kron_eye4(
+        (prep_sums @ design_factors()[0]).reshape(4, 4).T)
+    return p, float(n2 @ np.log(p) + n_other @ np.log1p(-p)), r
 
 
 def _budget(max_iterations: int | None) -> int:
@@ -171,31 +166,27 @@ def _budget(max_iterations: int | None) -> int:
     return budget
 
 
-def _factor_objective(evaluate, gradient, scale: float):
-    """``objective(x) -> (-scale log L, gradient)`` of the factor T viewed as
-    the 512 floats ``x``, and the (x, J, log L, R, K) of the last x
-    evaluated."""
-    last = []
+def _factor_state(x: np.ndarray, n2: np.ndarray, n_other: np.ndarray):
+    """(T, J, log L, R, K, X, s, v) of the factor T viewed as the 512 floats
+    ``x``: X = T T^dag, Lambda = Tr_out X = v diag(s^2) v^dag."""
+    t = x.view(complex).reshape(16, 16)
+    xx = t @ t.conj().T
+    s, v = _sqrt_eigh(_partial_trace_out(xx))
+    k = _kron_eye4((v / s) @ v.conj().T)
+    j = k @ xx @ k
+    j = 0.5 * (j + j.conj().T)
+    _, log_l, r = _likelihood(j, n2, n_other)
+    return t, j, log_l, r, k, xx, s, v
 
-    def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
-        t = x.view(complex).reshape(16, 16)
-        xx = t @ t.conj().T
-        s, v = _sqrt_eigh(_partial_trace_out(xx))
-        k = _kron_eye4((v / s) @ v.conj().T)
-        j = k @ xx @ k
-        j = 0.5 * (j + j.conj().T)
-        p, log_l = evaluate(j)
-        r = gradient(p)
-        kr = k @ r
-        xkr = xx @ kr
-        # D in Lambda's eigenbasis: divided differences -1/(s s' (s + s'))
-        q = v.conj().T @ _partial_trace_out(xkr + xkr.conj().T) @ v
-        dq = v @ (q / -(s[:, None] * s * (s[:, None] + s))) @ v.conj().T
-        g = (kr @ k + _kron_eye4(dq)) @ t
-        last[:] = [x.copy(), j, log_l, r, k]
-        return -scale * log_l, -2.0 * scale * g.view(float).ravel()
 
-    return objective, last
+def _factor_gradient(t, j, log_l, r, k, xx, s, v) -> np.ndarray:
+    """(K R K + D(q) (x) I) T, half the gradient of log L in T."""
+    kr = k @ r
+    xkr = xx @ kr
+    # D in Lambda's eigenbasis: divided differences -1/(s s' (s + s'))
+    q = v.conj().T @ _partial_trace_out(xkr + xkr.conj().T) @ v
+    dq = v @ (q / -(s[:, None] * s * (s[:, None] + s))) @ v.conj().T
+    return (kr @ k + _kron_eye4(dq)) @ t
 
 
 def _mle(n2: np.ndarray, shots: int, max_iterations: int
@@ -203,20 +194,30 @@ def _mle(n2: np.ndarray, shots: int, max_iterations: int
     """Run the solve on the counts ``n2`` of ``shots`` shots each."""
     from scipy.optimize import minimize
 
-    evaluate, gradient = _likelihood(n2, shots)
+    n_other = shots - n2
     # Balance scales so that Tr(R_hat J) = Tr(I J) = 4 at the current J.
     scale = 4.0 / (shots * n2.size)
-    objective, last = _factor_objective(evaluate, gradient, scale)
+    # the last x and its state; x is copied, as scipy reuses its arrays
+    memo = []
     log_ls: list[float] = []
-    accepted = []
+    accepted = []  # the state and gap of the last accepted iterate
+
+    def state(x: np.ndarray) -> tuple:
+        if not memo or not np.array_equal(x, memo[0]):
+            x = x.copy()
+            memo[:] = [x, _factor_state(x, n2, n_other)]
+        return memo[1]
+
+    def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
+        st = state(x)
+        return (-scale * st[2],
+                -2.0 * scale * _factor_gradient(*st).view(float).ravel())
 
     def accept(x: np.ndarray) -> None:
-        if not last or not np.array_equal(x, last[0]):
-            objective(x)
-        _, j, log_l, r, _ = last
-        log_ls.append(log_l)
-        accepted[:] = [*last, _duality_gap(r, j)]
-        if accepted[-1] <= GAP_TOLERANCE or len(log_ls) == max_iterations:
+        st = state(x)
+        log_ls.append(st[2])
+        accepted[:] = [st, _duality_gap(st[3], st[1])]
+        if accepted[1] <= GAP_TOLERANCE or len(log_ls) == max_iterations:
             raise StopIteration
 
     x0 = (np.eye(16, dtype=complex) / 2.0).view(float).ravel()
@@ -226,13 +227,12 @@ def _mle(n2: np.ndarray, shots: int, max_iterations: int
                  options={"maxiter": max_iterations, "ftol": 0.0, "gtol": 0.0})
         # The fixed-point finisher, if the line search stalled first; scipy
         # returns normally when the callback stops it.
-        while accepted[-1] > GAP_TOLERANCE and len(log_ls) < max_iterations:
-            x, _, _, r, k, _ = accepted
-            t = (scale * r) @ k @ x.view(complex).reshape(16, 16)
-            accept(t.view(float).ravel())
+        while accepted[1] > GAP_TOLERANCE and len(log_ls) < max_iterations:
+            t, _, _, r, k, *_ = accepted[0]
+            accept(((scale * r) @ k @ t).view(float).ravel())
     except StopIteration:
         pass
-    _, j, _, _, _, gap = accepted
+    (_, j, *_), gap = accepted
     return (ProcessMatrix(choi_to_chi(j)),
             MleResult(np.array(log_ls), gap,
                       "gap" if gap <= GAP_TOLERANCE else "budget"))

@@ -255,6 +255,8 @@ def test_truncation_grows_by_the_rounding_step():
                 assert 1.0 - pops[:-2].sum() <= tol
                 assert first <= len(pops) <= doubled
                 assert len(pops) == first or len(pops) < doubled
+                assert all(size % analysis._grid_step(size) == 0
+                           for size in (first, len(pops)))
                 grown += len(pops) > first
     assert grown == 91
 

@@ -442,12 +442,27 @@ def test_report_chi_not_a_mapping_exit_2(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("command", [["report", "CHI"],
-                                     ["bell", "--chi", "CHI"]],
-                         ids=lambda c: c[0])
-def test_chi_with_wrong_basis_order_exit_2(tmp_path, capsys, command):
+# A reversed basis_order, and entries that would otherwise load as 1.0 or
+# 0.0 into a valid identity chi: a string, a padded string and booleans.
+_CHI_DEFECTS = {"": ("basis_order", None, "basis_order"),
+                "-string": ("re", "1", "JSON number"),
+                "-padded": ("re", " 1.0 ", "JSON number"),
+                "-true": ("re", True, "JSON number"),
+                "-false": ("im", False, "JSON number")}
+
+
+@pytest.mark.parametrize(
+    "command, defect",
+    [pytest.param(command, defect, id=command[0] + suffix)
+     for suffix, defect in _CHI_DEFECTS.items()
+     for command in (["report", "CHI"], ["bell", "--chi", "CHI"])])
+def test_chi_with_wrong_basis_order_exit_2(tmp_path, capsys, command, defect):
+    key, entry, message = defect
     doc = chi_to_json_dict(unitary_to_chi(np.eye(4)))
-    doc["basis_order"] = doc["basis_order"][::-1]
+    if key == "basis_order":
+        doc["basis_order"] = doc["basis_order"][::-1]
+    else:
+        doc[key][0][0] = entry
     chi_path = str(tmp_path / "chi.json")
     with open(chi_path, "w") as fh:
         json.dump(doc, fh)
@@ -455,7 +470,7 @@ def test_chi_with_wrong_basis_order_exit_2(tmp_path, capsys, command):
     assert run(*[chi_path if a == "CHI" else a for a in command],
                "-o", str(out)) == 2
     out_text, err = _assert_one_error_line(capsys)
-    assert out_text == "" and "basis_order" in err
+    assert out_text == "" and message in err
     assert list(tmp_path.iterdir()) == [tmp_path / "chi.json"]
 
 

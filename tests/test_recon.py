@@ -37,7 +37,8 @@ from ionqpt import recon
 from ionqpt.recon import (
     GAP_TOLERANCE,
     _PROBABILITY_FLOOR,
-    _factor_objective,
+    _factor_gradient,
+    _factor_state,
     _likelihood,
     bootstrap_fidelity,
     bootstrap_statistic,
@@ -211,9 +212,13 @@ def test_factor_gradient_matches_central_differences():
                 for _ in range(2)]
     shots = 30
     for t in factors:
-        evaluate, gradient = _likelihood(
-            rng.integers(0, shots + 1, 256).astype(float), shots)
-        objective, _ = _factor_objective(evaluate, gradient, 1.0 / shots)
+        n2 = rng.integers(0, shots + 1, 256).astype(float)
+
+        def objective(x):
+            state = _factor_state(x, n2, shots - n2)
+            return (-state[2] / shots, -2.0 / shots
+                    * _factor_gradient(*state).view(float).ravel())
+
         x = t.view(float).ravel()
         _, analytic = objective(x)
         h = 1e-6
@@ -250,6 +255,20 @@ def test_factor_solve_agrees_with_fixed_point_solve(proc, monkeypatch):
     # both are within their gap of the same optimum
     assert (abs(fast.final_log_likelihood - fixed.final_log_likelihood)
             <= GAP_TOLERANCE)
+
+
+def test_finisher_solves_without_the_factor_gradient(monkeypatch):
+    # the fixed-point step reads J, R and K of the state; only L-BFGS asks
+    # for the gradient
+    import scipy.optimize
+
+    def no_gradient(*state):
+        raise AssertionError("the finisher computed the factor gradient")
+
+    monkeypatch.setattr(scipy.optimize, "minimize", lambda *a, **k: None)
+    monkeypatch.setattr(recon, "_factor_gradient", no_gradient)
+    _, result = mle_reconstruct(_paper_dataset(ProcessSpec.identity()))
+    assert result.converged
 
 
 def test_bootstrap_determinism(ms_sampled_dataset, monkeypatch):
@@ -401,13 +420,12 @@ def test_mle_iteration_matches_einsum_reference(ms_sampled_dataset,
     import scipy.optimize
 
     trace = _einsum_mle_choi(ms_sampled_dataset, 200)
-    evaluate, gradient = _likelihood(ms_sampled_dataset.n2, 150)
+    n2 = ms_sampled_dataset.n2
     scale = 4.0 / (150.0 * 256)
     for j_ref, p_ref, log_l_ref, r_ref in trace:
-        p, log_l = evaluate(np.ascontiguousarray(j_ref))
+        p, log_l, r = _likelihood(np.ascontiguousarray(j_ref), n2, 150 - n2)
         np.testing.assert_allclose(p, p_ref, rtol=0, atol=1e-12)
         np.testing.assert_allclose(log_l, log_l_ref, rtol=1e-12)
-        r = gradient(p)
         np.testing.assert_allclose(r * scale, r_ref * scale, rtol=0, atol=1e-9)
     monkeypatch.setattr(scipy.optimize, "minimize", lambda *a, **k: None)
     monkeypatch.setattr(recon, "GAP_TOLERANCE", 0.0)
