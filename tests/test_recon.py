@@ -245,8 +245,14 @@ def test_factor_solve_agrees_with_fixed_point_solve(proc, monkeypatch):
 
     ds = _paper_dataset(proc)
     _, fast = mle_reconstruct(ds)
-    # with no quasi-Newton step the fixed-point finisher does the whole solve
+
+    def no_gradient(*state):
+        raise AssertionError("the finisher computed the factor gradient")
+
+    # with no quasi-Newton step the fixed-point finisher does the whole solve;
+    # it reads J, R and K of each iterate's state, never the factor gradient
     monkeypatch.setattr(scipy.optimize, "minimize", lambda *a, **k: None)
+    monkeypatch.setattr(recon, "_factor_gradient", no_gradient)
     _, fixed = mle_reconstruct(ds)
     assert fast.converged and fixed.converged
     assert fixed.iterations > fast.iterations
@@ -255,20 +261,6 @@ def test_factor_solve_agrees_with_fixed_point_solve(proc, monkeypatch):
     # both are within their gap of the same optimum
     assert (abs(fast.final_log_likelihood - fixed.final_log_likelihood)
             <= GAP_TOLERANCE)
-
-
-def test_finisher_solves_without_the_factor_gradient(monkeypatch):
-    # the fixed-point step reads J, R and K of the state; only L-BFGS asks
-    # for the gradient
-    import scipy.optimize
-
-    def no_gradient(*state):
-        raise AssertionError("the finisher computed the factor gradient")
-
-    monkeypatch.setattr(scipy.optimize, "minimize", lambda *a, **k: None)
-    monkeypatch.setattr(recon, "_factor_gradient", no_gradient)
-    _, result = mle_reconstruct(_paper_dataset(ProcessSpec.identity()))
-    assert result.converged
 
 
 def test_bootstrap_determinism(ms_sampled_dataset, monkeypatch):
