@@ -50,6 +50,7 @@ _MAX_DIM = 4096  # largest Fock truncation of the motional mode
 _FIRST_ROUND_NFEV, _MAX_NFEV = 20, 80  # heating fit: first round, leader's total
 _MAX_OCCUPATION = 50.0  # heating fit: upper bound of n_th and n_coh
 _PERIODOGRAM_BLOCK = 64  # frequencies per pass of the heating fit's periodogram
+_MODEL_BLOCK = 256  # times per pass of the sideband model
 
 
 class FitError(RuntimeError):
@@ -320,26 +321,35 @@ def sideband_rabi_signal(occ: MotionalOccupation, times_us,
     Each ion is treated as an independent two-level system sharing the mode
     distribution, flopping at Omega_n = Omega * eta * sqrt(n + 1).
     """
-    times_s = np.asarray(times_us, dtype=float) * 1e-6
-    pops = displaced_thermal_populations(occ.n_th, occ.n_coh, tail_tol=tail_tol)
-    omega_n = occ.rabi_omega * occ.eta * np.sqrt(np.arange(len(pops)) + 1.0)
-    flop = np.outer(times_s, 0.5 * omega_n)
-    return 2.0 * (np.square(np.sin(flop, out=flop), out=flop) @ pops)
+    params = np.array([occ.rabi_omega, occ.n_th, occ.n_coh])
+    times_s = np.asarray(times_us, dtype=float).ravel() * 1e-6
+    return _sideband_model(params, times_s, occ.eta, tail_tol)[0]
 
 
 def _sideband_model(params: np.ndarray, times_s: np.ndarray, eta: float,
                     tail_tol: float) -> tuple[np.ndarray, np.ndarray]:
     """sideband_rabi_signal at (Omega, n_th, n_coh) and its Jacobian rows."""
     pops, d_th, d_coh = _populations(params[1], params[2], tail_tol)
-    # 2 sin^2(x/2) with x = Omega rate t, rate = eta sqrt(n + 1); d/dOmega is
-    # 2 sin(x/2) cos(x/2) rate t.  At most two times x dim tables are alive.
+    # 2 sin^2(h) with h = Omega rate t / 2, rate = eta sqrt(n + 1); d/dOmega is
+    # 2 sin(h) cos(h) rate t.  With u = tan(h), sin(h) cos(h) = u / (1 + u^2)
+    # and sin^2(h) = (sin(h) cos(h))^2 (1 + u^2): numpy vectorizes tan, not
+    # sin or cos.  Two tables of _MODEL_BLOCK times x dim are all it holds.
     rate = eta * np.sqrt(np.arange(len(pops)) + 1.0)
-    half = np.outer(times_s, 0.5 * params[0] * rate)
-    sin = np.sin(half)
-    sin_cos = np.multiply(sin, np.cos(half, out=half), out=half)
-    d_omega = times_s * (sin_cos @ (2.0 * rate * pops))
-    flop = 2.0 * (np.square(sin, out=sin) @ np.stack([pops, d_th, d_coh], 1))
-    return flop[:, 0], np.column_stack([d_omega, flop[:, 1:]])
+    weights = 2.0 * np.stack([rate * pops, pops, d_th, d_coh], 1)
+    out = np.empty((len(times_s), 4))
+    tables = np.empty((2, min(len(times_s), _MODEL_BLOCK), len(pops)))
+    for i in range(0, len(times_s), _MODEL_BLOCK):
+        t = times_s[i:i + _MODEL_BLOCK]
+        sin_cos, sin2 = tables[:, :len(t)]
+        np.tan(np.multiply.outer(t, 0.5 * params[0] * rate, out=sin_cos),
+               out=sin_cos)
+        np.add(np.square(sin_cos, out=sin2), 1.0, out=sin2)
+        sin_cos /= sin2
+        sin2 *= sin_cos
+        sin2 *= sin_cos
+        out[i:i + len(t), 0] = t * (sin_cos @ weights[:, 0])
+        out[i:i + len(t), 1:] = sin2 @ weights[:, 1:]
+    return out[:, 1], out[:, [0, 2, 3]]
 
 
 def _lombscargle(t: np.ndarray, y: np.ndarray,

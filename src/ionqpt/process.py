@@ -245,9 +245,13 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _numbers(value, name: str) -> np.ndarray:
-    """The nested JSON list ``value`` as floats, if every entry is a number."""
-    entries = np.asarray(value, dtype=object)
+def _numbers(doc: dict, name: str) -> np.ndarray:
+    """``doc[name]`` as a 16 x 16 float array, if every entry is a number."""
+    if name not in doc:
+        raise ValidationError(f"chi document has no {name!r}")
+    entries = np.asarray(doc[name], dtype=object)
+    if entries.shape != (16, 16):
+        raise ValidationError(f"{name} must be 16 rows of 16 numbers each")
     if not all(map(_is_number, entries.flat)):
         raise ValidationError(f"every entry of {name} must be a JSON number")
     return entries.astype(float)
@@ -261,7 +265,7 @@ def chi_from_json_dict(doc: dict, validate: bool = True) -> ProcessMatrix:
             f"unsupported chi convention {doc.get('convention')!r}")
     if doc.get("basis_order") != pauli_labels_2q():
         raise ValidationError("unexpected basis_order in chi document")
-    chi = _numbers(doc["re"], "re") + 1j * _numbers(doc["im"], "im")
+    chi = _numbers(doc, "re") + 1j * _numbers(doc, "im")
     return ProcessMatrix(chi, validate=validate)
 
 

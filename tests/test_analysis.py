@@ -328,16 +328,18 @@ def test_fit_heating_rejects_non_finite_input():
 
 
 def test_fit_heating_lets_model_errors_through(monkeypatch):
-    # A fault in the model or its Jacobian is a bug, not a failed start.
+    # A fault in the model or its Jacobian is a bug, not a failed start.  The
+    # scan is simulated before the patch: sideband_rabi_signal shares the model.
     def broken(*args):
         raise ZeroDivisionError("broken model")
 
-    monkeypatch.setattr(analysis, "_sideband_model", broken)
     t = np.linspace(2.0, 600.0, 60)
     occ = MotionalOccupation(n_th=3.5, n_coh=0.1,
                              rabi_omega=2 * math.pi * 250e3, eta=0.039)
+    y = sideband_rabi_signal(occ, t)
+    monkeypatch.setattr(analysis, "_sideband_model", broken)
     with pytest.raises(ZeroDivisionError):
-        fit_heating(t, sideband_rabi_signal(occ, t))
+        fit_heating(t, y)
 
 
 @pytest.mark.parametrize("n_th,n_coh,omega_factor", [
@@ -362,6 +364,51 @@ def test_sideband_jacobian_matches_central_differences(n_th, n_coh,
         fd = (signal(params + step) - signal(params - step)) / (2 * h)
         err = np.linalg.norm(jac[:, k] - fd) / np.linalg.norm(fd)
         assert err < 1e-6, (k, err)
+
+
+def test_sideband_model_matches_sin_cos_reference():
+    # The model's half-angle tangent u = tan(h) against np.sin and np.cos.
+    # The times include t -> 0 and half angles h within 1e-9 of an odd
+    # multiple of pi/2 in Fock states 0, 3 and 40, where u -> inf; a scan
+    # whose length is not a multiple of the block and a single time.
+    eta = 0.039
+    params = np.array([2 * math.pi * 250e3, 5.5, 0.4])
+    pops, d_th, d_coh = analysis._populations(params[1], params[2], 1e-4)
+    rate = eta * np.sqrt(np.arange(len(pops)) + 1.0)
+    odd = np.array([1.0, 3.0, 41.0])[:, None] * math.pi / 2
+    poles = ((odd + np.array([-1e-9, 0.0, 1e-9])).ravel()
+             / (0.5 * params[0] * rate[[0, 3, 40]].repeat(3)))
+    scan = np.linspace(0.0, 600e-6, 2 * analysis._MODEL_BLOCK + 37)
+    scan = np.concatenate([scan, [1e-300, 1e-15], poles])
+
+    for t_s in (scan, poles[4:5]):
+        model, jac = analysis._sideband_model(params, t_s, eta, 1e-4)
+        half = np.outer(t_s, 0.5 * params[0] * rate)
+        sin, cos = np.sin(half), np.cos(half)
+        np.testing.assert_allclose(model, 2.0 * sin ** 2 @ pops,
+                                   rtol=0, atol=1e-14)
+        d_omega = t_s * (2.0 * sin * cos @ (rate * pops))
+        err = np.linalg.norm(jac[:, 0] - d_omega) / np.linalg.norm(d_omega)
+        assert err <= 1e-12, err
+        d_occ = 2.0 * sin ** 2 @ np.stack([d_th, d_coh], 1)
+        np.testing.assert_allclose(jac[:, 1:], d_occ, rtol=0, atol=1e-14)
+
+
+def test_sideband_model_peak_memory_is_bounded():
+    # 1200 times x 640 Fock states: whole sin and cos tables take 6.1 MB
+    # each and peaked at 12.4 MB; two tables of 256 times keep it near 3 MB.
+    import tracemalloc
+
+    params = np.array([2 * math.pi * 250e3, 45.0, 10.0])
+    t_s = np.linspace(2.0, 600.0, 1200) * 1e-6
+    assert len(analysis._populations(45.0, 10.0, 1e-4)[0]) == 640
+    tracemalloc.start()
+    try:
+        analysis._sideband_model(params, t_s, 0.039, 1e-4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
 
 
 def _record_least_squares(monkeypatch, unconverged=lambda call: False):

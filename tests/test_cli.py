@@ -442,13 +442,23 @@ def test_report_chi_not_a_mapping_exit_2(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-# A reversed basis_order, and entries that would otherwise load as 1.0 or
-# 0.0 into a valid identity chi: a string, a padded string and booleans.
-_CHI_DEFECTS = {"": ("basis_order", None, "basis_order"),
-                "-string": ("re", "1", "JSON number"),
-                "-padded": ("re", " 1.0 ", "JSON number"),
-                "-true": ("re", True, "JSON number"),
-                "-false": ("im", False, "JSON number")}
+def _first_entry(entry):
+    return lambda rows: [[entry, *rows[0][1:]], *rows[1:]]
+
+
+# A reversed basis_order; entries that would otherwise load as 1.0 or 0.0
+# into a valid identity chi: a string, a padded string and booleans; and a
+# wrongly shaped chi: 15 rows, a 15-entry row or no im at all.  Each edit
+# maps the key's value to its replacement, None to remove the key.
+_CHI_DEFECTS = {"": ("basis_order", lambda order: order[::-1], "basis_order"),
+                "-string": ("re", _first_entry("1"), "JSON number"),
+                "-padded": ("re", _first_entry(" 1.0 "), "JSON number"),
+                "-true": ("re", _first_entry(True), "JSON number"),
+                "-false": ("im", _first_entry(False), "JSON number"),
+                "-15-rows": ("re", lambda rows: rows[:15], "16 rows"),
+                "-short-row": ("re", lambda rows: [rows[0][:15], *rows[1:]],
+                               "16 rows"),
+                "-no-im": ("im", lambda rows: None, "no 'im'")}
 
 
 @pytest.mark.parametrize(
@@ -457,12 +467,11 @@ _CHI_DEFECTS = {"": ("basis_order", None, "basis_order"),
      for suffix, defect in _CHI_DEFECTS.items()
      for command in (["report", "CHI"], ["bell", "--chi", "CHI"])])
 def test_chi_with_wrong_basis_order_exit_2(tmp_path, capsys, command, defect):
-    key, entry, message = defect
+    key, edit, message = defect
     doc = chi_to_json_dict(unitary_to_chi(np.eye(4)))
-    if key == "basis_order":
-        doc["basis_order"] = doc["basis_order"][::-1]
-    else:
-        doc[key][0][0] = entry
+    value = edit(doc.pop(key))
+    if value is not None:
+        doc[key] = value
     chi_path = str(tmp_path / "chi.json")
     with open(chi_path, "w") as fh:
         json.dump(doc, fh)
